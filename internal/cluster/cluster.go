@@ -20,11 +20,10 @@
 // adoptions or an exogenous change, the coordinator gathers every
 // shard's feedback into one global view, solves the global residual
 // instance ONCE with the configured algorithm, and installs per-shard
-// slices of the resulting strategy. Shard engines are configured with
-// a planner closure that returns their current slice, so engine-local
-// replans (boot recovery, advance-forced replans) are cheap fetches of
-// coordinator output rather than independent solves. The payoff is
-// exact equivalence: a cluster of any shard count runs the same
+// slices of the resulting strategy. Shard engines are followers
+// (serve.OpenFollower): they never plan, and their plans change only
+// when the coordinator installs a slice. The payoff is exact
+// equivalence: a cluster of any shard count runs the same
 // algorithm-invocation sequence on the same residual instances as a
 // single engine and therefore produces byte-identical outcomes —
 // which internal/scenario asserts across the whole archetype catalog.
@@ -58,6 +57,10 @@ import (
 // count.
 const coordTraceOrigin = 0xFFFF
 
+// errClosed wraps serve.ErrClosed so callers classify a closed cluster
+// like a closed shard engine.
+var errClosed = fmt.Errorf("cluster: %w", serve.ErrClosed)
+
 // maxExposuresPerClass caps the exposure history the coordinator
 // session retains per (user, class) — the same cap every shard engine
 // applies to its own history and feedback exports, so the session's
@@ -76,9 +79,6 @@ type Config struct {
 	Algorithm string
 	// Solver carries the named algorithm's options.
 	Solver solver.Options
-	// Planner, when non-nil, bypasses the registry with a custom global
-	// planning function (same contract as serve.Config.Planner).
-	Planner planner.Algorithm
 	// WarmStart seeds each coordinated replan with the previous global
 	// plan's triples.
 	WarmStart bool
@@ -89,15 +89,15 @@ type Config struct {
 	// before the solve. Output stays byte-identical to the
 	// non-incremental coordinator (cold or warm per WarmStart).
 	// Requires a registry G-Greedy algorithm ("g-greedy" or
-	// "g-greedy-parallel"); incompatible with a custom Planner. Shard
-	// engines are unaffected — they never solve.
+	// "g-greedy-parallel"). Shard engines are unaffected — they never
+	// solve.
 	Incremental bool
 	// EngineStripes is each shard engine's internal lock-stripe count
 	// (serve.Config.Shards; 0 = next pow2 ≥ GOMAXPROCS).
 	EngineStripes int
-	// ReplanEvery is passed through to shard engines. Engine-local
-	// replans only re-fetch the shard's slice, so this mostly controls
-	// how often engines refresh conditional probabilities mid-barrier.
+	// ReplanEvery is the barrier cadence: every ReplanEvery-th adoption
+	// fed to the cluster schedules a coordinated barrier (≤ 0 means 32).
+	// Shard engines never replan on their own, so nothing else reads it.
 	ReplanEvery int
 	// QueueDepth is each shard's feedback-queue buffer.
 	QueueDepth int
@@ -120,24 +120,20 @@ type Config struct {
 	SLO serve.SLOConfig
 }
 
-// engineConfig builds shard k's serve.Config: the cluster's planning
-// is replaced by a closure handing out the shard's current slice, and
-// the observability plane is threaded through — shard k's tracer mints
-// span IDs with origin k+1 so its spans correlate collision-free with
-// the coordinator's in the merged /debug/traces view, and its logger
-// carries a shard=<k> attribute.
-func (c *Cluster) engineConfig(k int) serve.Config {
+// shardConfig builds shard k's follower config: its tracer mints span
+// IDs with origin k+1, collision-free with the coordinator's in the
+// merged /debug/traces view, its logger carries shard=<k>, and a
+// durable shard logs under shard-<k>/.
+func shardConfig(c Config, k int) serve.Config {
 	cfg := serve.Config{
-		Planner:       func(*model.Instance) *model.Strategy { return c.sliceFor(k) },
-		Shards:        c.cfg.EngineStripes,
-		ReplanEvery:   c.cfg.ReplanEvery,
-		QueueDepth:    c.cfg.QueueDepth,
-		Logger:        shardLogger(c.cfg.Logger, k),
-		SlowThreshold: c.cfg.SlowThreshold,
-		SLO:           c.cfg.SLO,
+		Shards:        c.EngineStripes,
+		QueueDepth:    c.QueueDepth,
+		Logger:        shardLogger(c.Logger, k),
+		SlowThreshold: c.SlowThreshold,
+		SLO:           c.SLO,
 		TraceOrigin:   uint16(k + 1),
 	}
-	if d := c.cfg.Durability; d != nil && d.Dir != "" {
+	if d := c.Durability; d != nil && d.Dir != "" {
 		sd := *d
 		sd.Dir = filepath.Join(d.Dir, fmt.Sprintf("shard-%d", k))
 		cfg.Durability = &sd
@@ -165,9 +161,8 @@ type Cluster struct {
 	// concurrently with exogenous repricing without synchronization.
 	global atomic.Pointer[model.Instance]
 
-	// custom/opts/warm mirror serve.Engine's resolved planning config,
-	// but for the coordinator's global solves.
-	custom   planner.Algorithm
+	// opts/warm mirror serve.Engine's resolved planning config, but for
+	// the coordinator's global solves.
 	opts     solver.Options
 	warm     bool
 	warmPrev []model.Triple
@@ -187,11 +182,11 @@ type Cluster struct {
 	engMu   sync.RWMutex
 	engines []*serve.Engine
 
-	// strat is the live global strategy; slices[k] is shard k's portion
-	// re-keyed to local user IDs, read by the shard's planner closure.
-	strat   atomic.Pointer[model.Strategy]
-	slices  []atomic.Pointer[model.Strategy]
-	revBits atomic.Uint64 // global plan revenue, float64 bits
+	// strat is the live global strategy; installed is it sliced by shard
+	// (guarded by mu), which RecoverShard re-installs on its shard.
+	strat     atomic.Pointer[model.Strategy]
+	installed []shardPlan
+	revBits   atomic.Uint64 // global plan revenue, float64 bits
 
 	co *coordinator
 
@@ -276,40 +271,19 @@ func newShell(cfg Config, items int, capacity func(int) int64) (*Cluster, error)
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d out of range (want ≥ 1)", cfg.Shards)
 	}
-	custom := cfg.Planner
-	opts := cfg.Solver
-	if custom == nil {
-		if cfg.Algorithm != "" {
-			opts.Algorithm = cfg.Algorithm
-		}
-		if err := solver.ValidateOptions(opts); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-	}
-	if cfg.Incremental {
-		if custom != nil {
-			return nil, errors.New("cluster: Incremental is incompatible with a custom Planner (needs a registry G-Greedy algorithm)")
-		}
-		a, err := solver.Lookup(opts.Algorithm)
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		if n := a.Name(); n != solver.NameGGreedy && n != solver.NameGGreedyParallel {
-			return nil, fmt.Errorf("cluster: Incremental requires %q or %q, not %q",
-				solver.NameGGreedy, solver.NameGGreedyParallel, n)
-		}
+	opts, err := serve.Config{Algorithm: cfg.Algorithm, Solver: cfg.Solver, Incremental: cfg.Incremental}.PlanOptions()
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	c := &Cluster{
 		cfg:         cfg,
 		n:           cfg.Shards,
-		custom:      custom,
 		opts:        opts,
-		warm:        cfg.WarmStart && custom == nil,
+		warm:        cfg.WarmStart,
 		incr:        cfg.Incremental,
 		replanEvery: cfg.ReplanEvery,
 		flushCh:     make(chan struct{}, 1),
 		quitCh:      make(chan struct{}),
-		slices:      make([]atomic.Pointer[model.Strategy], cfg.Shards),
 		co:          newCoordinator(cfg.Shards, items, capacity),
 		logger:      cfg.Logger,
 		tracer:      obs.NewTracer(64),
@@ -391,13 +365,14 @@ func boot(in *model.Instance, cfg Config) (*Cluster, error) {
 	c.engines = make([]*serve.Engine, c.n)
 	for k := 0; k < c.n; k++ {
 		sub := subInstance(in, c.n, k)
-		eng, err := serve.Open(sub, c.engineConfig(k))
+		eng, err := serve.OpenFollower(sub, shardConfig(cfg, k))
 		if err != nil {
 			c.closeEngines()
 			return nil, fmt.Errorf("cluster: shard %d: %w", k, err)
 		}
 		c.engines[k] = eng
 	}
+	c.installLocked(context.Background(), 1)
 	if err := c.openCoordStore(); err != nil {
 		c.closeEngines()
 		return nil, err
@@ -414,7 +389,7 @@ func boot(in *model.Instance, cfg Config) (*Cluster, error) {
 // crash: every shard engine recovers from its own directory, the
 // global instance is reassembled from the shards' sub-instances, the
 // coordinator ledger is replayed, and one forced coordinated replan
-// puts the fleet back on a single fresh plan before Open returns.
+// installs a single fresh plan on the fleet before Open returns.
 //
 // The ledger is exact when the crash hit a barrier-consistent window
 // (graceful close, or kill between barriers with no un-reconciled
@@ -422,7 +397,6 @@ func boot(in *model.Instance, cfg Config) (*Cluster, error) {
 // reconcile measures each recovered shard's view against the recovered
 // remainder, so stock can only be released late, never over-granted.
 func recoverCluster(cfg Config) (*Cluster, error) {
-	d := cfg.Durability
 	engines := make([]*serve.Engine, cfg.Shards)
 	closeAll := func() {
 		for _, e := range engines {
@@ -431,32 +405,11 @@ func recoverCluster(cfg Config) (*Cluster, error) {
 			}
 		}
 	}
-	// The shell (and with it the planner closures and coordinator) needs
-	// the item count, which lives in the shard snapshots; recover shard
-	// engines first against a placeholder closure via a late-bound ref.
-	var c *Cluster
-	ref := &c
+	// The shell needs the item count, which lives in the shard
+	// snapshots: recover the shard engines first. They serve their
+	// snapshotted plans until the forced replan below installs one.
 	for k := 0; k < cfg.Shards; k++ {
-		k := k
-		ecfg := serve.Config{
-			Planner: func(*model.Instance) *model.Strategy {
-				if cl := *ref; cl != nil {
-					return cl.sliceFor(k)
-				}
-				return model.NewStrategy()
-			},
-			Shards:        cfg.EngineStripes,
-			ReplanEvery:   cfg.ReplanEvery,
-			QueueDepth:    cfg.QueueDepth,
-			Logger:        shardLogger(cfg.Logger, k),
-			SlowThreshold: cfg.SlowThreshold,
-			SLO:           cfg.SLO,
-			TraceOrigin:   uint16(k + 1),
-		}
-		sd := *d
-		sd.Dir = filepath.Join(d.Dir, fmt.Sprintf("shard-%d", k))
-		ecfg.Durability = &sd
-		eng, err := serve.Open(nil, ecfg)
+		eng, err := serve.OpenFollower(nil, shardConfig(cfg, k))
 		if err != nil {
 			closeAll()
 			return nil, fmt.Errorf("cluster: recover shard %d: %w", k, err)
@@ -472,23 +425,23 @@ func recoverCluster(cfg Config) (*Cluster, error) {
 		closeAll()
 		return nil, err
 	}
-	shell, err := newShell(cfg, global.NumItems(), func(i int) int64 {
+	c, err := newShell(cfg, global.NumItems(), func(i int) int64 {
 		return int64(global.Capacity(model.ItemID(i)))
 	})
 	if err != nil {
 		closeAll()
 		return nil, err
 	}
-	shell.global.Store(global)
-	shell.engines = engines
-	if err := shell.openCoordStore(); err != nil {
+	c.global.Store(global)
+	c.engines = engines
+	if err := c.openCoordStore(); err != nil {
 		closeAll()
 		return nil, err
 	}
-	if shell.co.st.HasState() {
-		if err := shell.co.recoverLedger(); err != nil {
+	if c.co.st.HasState() {
+		if err := c.co.recoverLedger(); err != nil {
 			closeAll()
-			shell.co.st.Close()
+			c.co.st.Close()
 			return nil, err
 		}
 	}
@@ -501,8 +454,7 @@ func recoverCluster(cfg Config) (*Cluster, error) {
 			clock = now
 		}
 	}
-	shell.clock.Store(int64(clock))
-	c = shell // arm the planner closures before the replan needs them
+	c.clock.Store(int64(clock))
 	c.force.Store(true)
 	c.Flush()
 	if err := c.co.snapshot(); err != nil {
@@ -540,16 +492,6 @@ func (c *Cluster) closeEngines() {
 			e.Close()
 		}
 	}
-}
-
-// sliceFor returns shard k's portion of the live global strategy (an
-// empty strategy before the first install — only reachable during
-// recovery boot, before the forced coordinated replan).
-func (c *Cluster) sliceFor(k int) *model.Strategy {
-	if s := c.slices[k].Load(); s != nil {
-		return s
-	}
-	return model.NewStrategy()
 }
 
 // Shards returns the cluster's shard count.
@@ -704,12 +646,12 @@ func (c *Cluster) FeedCtx(ctx context.Context, ev serve.Event) error {
 	return nil
 }
 
-// SetNow advances the cluster clock on every shard and runs the
-// coordinated barrier before returning: the residual horizon changed,
-// so reservations are reconciled and a fresh global plan is installed
-// — the cluster-wide analogue of a single engine's forced replan on
-// advance, made synchronous so an /v1/advance caller is served from the
-// new plan as soon as the call returns.
+// SetNow advances the cluster clock and runs the coordinated barrier
+// before returning: the residual horizon changed, so reservations are
+// reconciled and a fresh global plan is installed — moving the shard
+// clocks along — the cluster-wide analogue of a single engine's forced
+// replan on advance, made synchronous so an /v1/advance caller is
+// served from the new plan as soon as the call returns.
 func (c *Cluster) SetNow(t model.TimeStep) error {
 	return c.SetNowCtx(context.Background(), t)
 }
@@ -723,17 +665,12 @@ func (c *Cluster) SetNowCtx(ctx context.Context, t model.TimeStep) error {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if c.closed {
+		return errClosed
+	}
 	if int64(t) < c.clock.Load() {
 		return fmt.Errorf("cluster: clock may not move backwards (%d < %d)", t, c.clock.Load())
 	}
-	c.engMu.RLock()
-	for _, e := range c.engines {
-		if err := e.SetNow(t); err != nil {
-			c.engMu.RUnlock()
-			return err
-		}
-	}
-	c.engMu.RUnlock()
 	c.clock.Store(int64(t))
 	c.force.Store(true)
 	c.flushLocked(obs.TraceRefFromContext(ctx))
@@ -756,7 +693,7 @@ func (c *Cluster) SetStock(i model.ItemID, n int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return errors.New("cluster: closed")
+		return errClosed
 	}
 	c.co.stock[i] = int64(n)
 	c.co.logStock(int(i), int64(n))
@@ -807,7 +744,7 @@ func (c *Cluster) ScalePrice(i model.ItemID, from model.TimeStep, factor float64
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return errors.New("cluster: closed")
+		return errClosed
 	}
 	c.engMu.RLock()
 	for _, e := range c.engines {
@@ -861,7 +798,7 @@ func (c *Cluster) Flush() {
 // named "barrier" (joining ref's trace when the barrier was caused by a
 // traced request, e.g. an /v1/advance carrying X-Trace-Id) with drain,
 // reconcile, gather/merge/solve/trim/slice, and install children. Every
-// shard's replan span joins the same trace remotely, so the merged
+// shard's install span joins the same trace remotely, so the merged
 // /debug/traces view shows one coordinated timeline. Barriers that find
 // no work drop their span unpublished — the 1s background ticks of an
 // idle cluster never reach the ring, the histogram, or the log.
@@ -892,28 +829,18 @@ func (c *Cluster) flushLocked(ref obs.TraceRef) {
 	replanned := dirty || force
 	if replanned {
 		c.pendingAdopt.Store(0)
-		c.replanLocked(sp)
-		// Advance every engine to the cluster clock; equal-time advances
-		// are allowed and force the engine to fetch its fresh slice. The
-		// trace rides along as a goroutine-shareable ref: each shard's
-		// forced replan opens its own remote span under the install span.
-		clock := model.TimeStep(c.clock.Load())
-		install := sp.Child("install")
-		ctx := obs.ContextWithTraceRef(context.Background(),
-			obs.TraceRef{TraceID: sp.TraceID(), ParentID: install.SpanID()})
-		c.engMu.RLock()
-		for _, e := range c.engines {
-			_ = e.SetNowCtx(ctx, clock)
+		if c.replanLocked(sp) {
+			// Barrier 2: install every shard's slice at the cluster clock.
+			// The trace rides along as a goroutine-shareable ref: each
+			// shard's install opens its own remote span under this one.
+			install := sp.Child("install")
+			ctx := obs.ContextWithTraceRef(context.Background(),
+				obs.TraceRef{TraceID: sp.TraceID(), ParentID: install.SpanID()})
+			c.installLocked(ctx, model.TimeStep(c.clock.Load()))
+			install.End()
 		}
-		c.engMu.RUnlock()
-		// Barrier 2: wait for grants, advances, and slice installs.
-		c.flushEngines()
-		install.End()
-	} else if granted {
-		// No replan, but reconciliation re-granted stock views; apply
-		// them before returning.
-		c.flushEngines()
 	}
+	// Each shard's Sync flushes first, applying any re-granted stock view.
 	c.syncEngines()
 	c.co.sync()
 	c.setErr(c.co.err)
@@ -933,6 +860,21 @@ func (c *Cluster) flushLocked(ref obs.TraceRef) {
 			"replanned", replanned, "granted", granted,
 			"duration_ms", d.Milliseconds(), "shards", c.n)
 	}
+}
+
+// installLocked installs every shard's slice of the live plan, planned
+// from step from, and waits until each shard serves it. A killed shard
+// is skipped: RecoverShard installs its slice when it comes back.
+func (c *Cluster) installLocked(ctx context.Context, from model.TimeStep) {
+	c.engMu.RLock()
+	for k, e := range c.engines {
+		p := c.installed[k]
+		if err := e.Install(ctx, p.s, from, p.rev); err != nil && !errors.Is(err, serve.ErrClosed) {
+			c.setErr(err)
+		}
+	}
+	c.engMu.RUnlock()
+	c.flushEngines()
 }
 
 func (c *Cluster) flushEngines() {
@@ -1018,9 +960,10 @@ func (c *Cluster) reconcileLocked() (granted, charged bool) {
 // replanLocked runs one coordinated global replan: gather every
 // shard's feedback, merge into the global view (stock from the
 // coordinator ledger, clock from the cluster), solve the residual
-// instance once, trim any quota violation, and install the slices.
-// Each phase is recorded as a child of the caller's barrier span.
-func (c *Cluster) replanLocked(sp *obs.Span) {
+// instance once, trim any quota violation, and slice the result for
+// installation. Each phase is recorded as a child of the caller's
+// barrier span. It reports whether a new plan was made.
+func (c *Cluster) replanLocked(sp *obs.Span) bool {
 	gather := sp.Child("gather")
 	fb, err := c.gatherFeedback()
 	gather.End()
@@ -1035,7 +978,7 @@ func (c *Cluster) replanLocked(sp *obs.Span) {
 			c.setErr(err)
 		}
 		c.dirty.Store(true)
-		return
+		return false
 	}
 	merge := sp.Child("merge")
 	var residual *model.Instance
@@ -1083,6 +1026,7 @@ func (c *Cluster) replanLocked(sp *obs.Span) {
 			"triples", s.Len(), "denied", denied,
 			"now", c.clock.Load())
 	}
+	return true
 }
 
 // gatherFeedback merges the shards' consistent feedback exports into
@@ -1123,13 +1067,6 @@ func (c *Cluster) gatherFeedback() (planner.Feedback, error) {
 func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) *model.Strategy {
 	c.replans.Add(1)
 	c.co.replansC.Inc()
-	if c.custom != nil {
-		s := c.custom(residual)
-		if s == nil {
-			s = model.NewStrategy()
-		}
-		return s
-	}
 	o := c.opts
 	o.Span = sp
 	if c.sess != nil {
@@ -1149,10 +1086,11 @@ func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) *model.Str
 
 // admitQuota enforces the cluster-wide constraints on a freshly solved
 // strategy: ≤ K displays per user per step and ≤ capacity distinct
-// users per item. Registered solvers always emit valid strategies, so
-// the fast path is a validity check and zero copies; a hostile custom
-// planner gets deterministically trimmed (triples admitted in
-// canonical order) with the number of denials reported.
+// users per item. The built-in solvers always emit valid strategies,
+// so the fast path is a validity check and zero copies; a registered
+// algorithm that plans over quota gets deterministically trimmed
+// (triples admitted in canonical order) with the number of denials
+// reported.
 func admitQuota(in *model.Instance, s *model.Strategy) (*model.Strategy, int) {
 	if in.CheckValid(s) == nil {
 		return s, 0
@@ -1184,9 +1122,8 @@ func admitQuota(in *model.Instance, s *model.Strategy) (*model.Strategy, int) {
 }
 
 // installGlobal publishes s as the live global plan: revenue is
-// evaluated against the residual it was solved on, the strategy is
-// sliced by owning shard, and the slices are swapped in for the
-// engines' planner closures to pick up.
+// evaluated against the residual it was solved on, and the strategy is
+// sliced by owning shard for the next install.
 func (c *Cluster) installGlobal(residual *model.Instance, s *model.Strategy) {
 	c.revBits.Store(math.Float64bits(revenue.Revenue(residual, s)))
 	c.strat.Store(s)
@@ -1194,9 +1131,7 @@ func (c *Cluster) installGlobal(residual *model.Instance, s *model.Strategy) {
 	if c.warm {
 		c.warmPrev = s.Triples()
 	}
-	for k, sl := range sliceStrategy(s, c.n) {
-		c.slices[k].Store(sl)
-	}
+	c.installed = sliceStrategy(residual, s, c.n)
 }
 
 // Sync flushes the cluster and reports the first durability error any
@@ -1242,7 +1177,7 @@ func (c *Cluster) Checkpoint() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return errors.New("cluster: closed")
+		return errClosed
 	}
 	c.engMu.RLock()
 	for _, e := range c.engines {
@@ -1300,8 +1235,9 @@ func (c *Cluster) KillShard(k int) error {
 // swaps it back into the router. The recovered engine replays its WAL
 // — including every reservation grant the coordinator logged through
 // it — so its stock view and user state are exactly the pre-crash
-// flushed state; its boot replan fetches the current plan slice from
-// the (still live) coordinator.
+// flushed state. It comes back serving its snapshotted plan, so the
+// coordinator installs the shard's slice of the live global plan
+// before RecoverShard returns.
 func (c *Cluster) RecoverShard(k int) error {
 	if k < 0 || k >= c.n {
 		return fmt.Errorf("cluster: shard %d out of range [0,%d)", k, c.n)
@@ -1313,12 +1249,18 @@ func (c *Cluster) RecoverShard(k int) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return errors.New("cluster: closed")
+		return errClosed
 	}
-	eng, err := serve.Open(nil, c.engineConfig(k))
+	eng, err := serve.OpenFollower(nil, shardConfig(c.cfg, k))
 	if err != nil {
 		return fmt.Errorf("cluster: recover shard %d: %w", k, err)
 	}
+	p := c.installed[k]
+	if err := eng.Install(context.Background(), p.s, model.TimeStep(c.clock.Load()), p.rev); err != nil {
+		eng.Close()
+		return fmt.Errorf("cluster: recover shard %d: %w", k, err)
+	}
+	eng.Flush()
 	c.engMu.Lock()
 	c.engines[k] = eng
 	c.engMu.Unlock()

@@ -1,14 +1,16 @@
 package cluster
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/model"
 	"repro/internal/serve"
+	"repro/internal/solver"
 )
 
 // hostileInstance has one item with capacity 1 and many users wanting
-// it — a custom planner that recommends it to everyone violates the
+// it — an algorithm that recommends it to everyone violates the
 // distinct-user quota by construction.
 func hostileInstance() *model.Instance {
 	in := model.NewInstance(4, 1, 2, 1)
@@ -24,24 +26,29 @@ func hostileInstance() *model.Instance {
 	return in
 }
 
-// greedyAll plans every candidate — wildly over quota.
-func greedyAll(in *model.Instance) *model.Strategy {
-	s := model.NewStrategy()
-	for u := 0; u < in.NumUsers; u++ {
-		for _, c := range in.UserCandidates(model.UserID(u)) {
-			s.Add(c.Triple)
+// greedyAll is a registered algorithm that plans every candidate —
+// wildly over quota.
+const greedyAll = "test-greedy-all"
+
+func init() {
+	solver.Register(solver.Func(greedyAll, func(_ context.Context, in *model.Instance, _ solver.Options) (solver.Result, error) {
+		s := model.NewStrategy()
+		for u := 0; u < in.NumUsers; u++ {
+			for _, c := range in.UserCandidates(model.UserID(u)) {
+				s.Add(c.Triple)
+			}
 		}
-	}
-	return s
+		return solver.Result{Strategy: s}, nil
+	}))
 }
 
 // TestQuotaDenialsTrimHostilePlanner verifies the coordinator's last
-// line of defense: a custom planner that ignores the distinct-user
-// quota gets its plan deterministically trimmed to validity, and the
-// denials are counted.
+// line of defense: a registered algorithm that ignores the
+// distinct-user quota gets its plan deterministically trimmed to
+// validity, and the denials are counted.
 func TestQuotaDenialsTrimHostilePlanner(t *testing.T) {
 	in := hostileInstance()
-	cl, err := New(in, Config{Shards: 2, Planner: greedyAll})
+	cl, err := New(in, Config{Shards: 2, Algorithm: greedyAll})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +101,7 @@ func TestAdmitQuotaFastPath(t *testing.T) {
 // rounds that clip at zero.
 func TestReconcileAlgebra(t *testing.T) {
 	in := hostileInstance() // item 0, capacity 1
-	cl, err := New(in, Config{Shards: 2, Planner: greedyAll})
+	cl, err := New(in, Config{Shards: 2, Algorithm: greedyAll})
 	if err != nil {
 		t.Fatal(err)
 	}

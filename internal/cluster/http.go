@@ -141,7 +141,7 @@ func Handler(c *Cluster) http.Handler {
 		err := c.FeedCtx(ctx, ev)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, serve.ErrorStatus(err), err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -160,7 +160,7 @@ func Handler(c *Cluster) http.Handler {
 		err := c.SetNowCtx(ctx, req.Now)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, serve.ErrorStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, map[string]int{"now": int(c.Now())})

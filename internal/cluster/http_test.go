@@ -197,6 +197,23 @@ func TestHTTPRoundTrip(t *testing.T) {
 	if resp.StatusCode != 400 {
 		t.Errorf("unknown user status %d, want 400", resp.StatusCode)
 	}
+
+	// A closed cluster answers feedback and clock moves with 503, like a
+	// closed engine.
+	cl.Close()
+	for path, body := range map[string]string{
+		"/v1/adopt":   `{"user":2,"item":0,"t":` + itoa(now) + `}`,
+		"/v1/advance": `{"now":` + itoa(now) + `}`,
+	} {
+		resp, err := client.Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != 503 {
+			t.Errorf("%s on a closed cluster: status %d, want 503", path, resp.StatusCode)
+		}
+	}
 }
 
 func itoa(n int) string { return strconv.Itoa(n) }

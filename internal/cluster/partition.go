@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/model"
+	"repro/internal/revenue"
 )
 
 // The partition rule is modular striping: user u lives on shard
@@ -95,16 +96,31 @@ func assembleGlobal(subs []*model.Instance) (*model.Instance, error) {
 	return g, nil
 }
 
+// shardPlan is one shard's slice of a global plan, re-keyed to local
+// user IDs, with the slice's share of the plan revenue.
+type shardPlan struct {
+	s   *model.Strategy
+	rev float64
+}
+
 // sliceStrategy splits a global strategy by owning shard, re-keying
-// users to their local IDs. The union of slices is exactly s.
-func sliceStrategy(s *model.Strategy, n int) []*model.Strategy {
-	slices := make([]*model.Strategy, n)
-	for k := range slices {
-		slices[k] = model.NewStrategy()
+// users to their local IDs. The union of slices is exactly s. Revenue
+// is user-local, so each slice's share is its global triples' revenue
+// under residual.
+func sliceStrategy(residual *model.Instance, s *model.Strategy, n int) []shardPlan {
+	plans := make([]shardPlan, n)
+	owned := make([]*model.Strategy, n)
+	for k := range plans {
+		plans[k].s = model.NewStrategy()
+		owned[k] = model.NewStrategy()
 	}
 	for _, z := range s.Triples() {
 		k := shardOf(z.U, n)
-		slices[k].Add(model.Triple{U: localID(z.U, n), I: z.I, T: z.T})
+		plans[k].s.Add(model.Triple{U: localID(z.U, n), I: z.I, T: z.T})
+		owned[k].Add(z)
 	}
-	return slices
+	for k := range plans {
+		plans[k].rev = revenue.Revenue(residual, owned[k])
+	}
+	return plans
 }

@@ -33,8 +33,9 @@ func barrierGroup(t *testing.T, cl *Cluster) TraceGroup {
 // correlated observability plane: after an adoption-driven barrier on a
 // 3-shard cluster, the merged trace view must hold ONE group in which
 // the coordinator's barrier span (with its gather→merge→solve→trim→
-// slice phase children) and every shard's replan span share a single
-// trace ID.
+// slice→install phase children) and every shard's install span share a
+// single trace ID, each shard span parented on the coordinator's
+// install child. No shard replans.
 func TestClusterBarrierTraceCorrelation(t *testing.T) {
 	in := testInstance(t, 24, 13)
 	cl, err := New(in, Config{Shards: 3, ReplanEvery: 1 << 30})
@@ -68,7 +69,7 @@ func TestClusterBarrierTraceCorrelation(t *testing.T) {
 		t.Fatal("barrier group has no trace id")
 	}
 	var barrier *TraceSpan
-	replans := map[string]TraceSpan{}
+	installs := map[string]TraceSpan{}
 	for i, s := range g.Spans {
 		if s.TraceID != g.TraceID {
 			t.Errorf("span %s/%s carries trace %s, group is %s", s.Shard, s.Name, s.TraceID, g.TraceID)
@@ -76,8 +77,10 @@ func TestClusterBarrierTraceCorrelation(t *testing.T) {
 		switch {
 		case s.Shard == "coord" && s.Name == "barrier":
 			barrier = &g.Spans[i]
+		case s.Name == "install":
+			installs[s.Shard] = s
 		case s.Name == "replan":
-			replans[s.Shard] = s
+			t.Errorf("shard %s replanned inside the barrier", s.Shard)
 		}
 	}
 	if barrier == nil {
@@ -85,26 +88,31 @@ func TestClusterBarrierTraceCorrelation(t *testing.T) {
 	}
 	// The coordinator span carries the whole phase breakdown.
 	phases := map[string]bool{}
+	var installID string
 	for _, c := range barrier.Children {
 		phases[c.Name] = true
+		if c.Name == "install" {
+			installID = c.SpanID
+		}
 	}
 	for _, want := range []string{"drain", "reconcile", "gather", "merge", "solve", "trim", "slice", "install"} {
 		if !phases[want] {
 			t.Errorf("barrier span missing %q child (has %v)", want, barrier.Children)
 		}
 	}
-	// Every shard joined the trace with a parented remote replan span.
+	// Every shard joined the trace with an install span parented on the
+	// coordinator's install phase.
 	for _, shard := range []string{"0", "1", "2"} {
-		sp, ok := replans[shard]
+		sp, ok := installs[shard]
 		if !ok {
-			t.Errorf("shard %s has no replan span in the barrier trace", shard)
+			t.Errorf("shard %s has no install span in the barrier trace", shard)
 			continue
 		}
-		if sp.ParentID == "" {
-			t.Errorf("shard %s replan span has no remote parent", shard)
+		if sp.ParentID == "" || sp.ParentID != installID {
+			t.Errorf("shard %s install span parent %q, want the coordinator's install phase %q", shard, sp.ParentID, installID)
 		}
 		if sp.SpanID == barrier.SpanID {
-			t.Errorf("shard %s replan reused the coordinator's span id", shard)
+			t.Errorf("shard %s install reused the coordinator's span id", shard)
 		}
 	}
 	// Span IDs are unique across tracers (distinct origins).
@@ -183,7 +191,7 @@ func TestClusterDebugTracesEndpoint(t *testing.T) {
 
 // TestClusterAdvanceTraceHeader: an /v1/advance carrying X-Trace-Id
 // must put the HTTP span, the coordinated barrier, and every shard's
-// replan under the caller's trace ID.
+// plan install under the caller's trace ID.
 func TestClusterAdvanceTraceHeader(t *testing.T) {
 	in := testInstance(t, 24, 13)
 	cl, err := New(in, Config{Shards: 3, ReplanEvery: 1 << 30})
@@ -226,7 +234,7 @@ func TestClusterAdvanceTraceHeader(t *testing.T) {
 	shards := map[string]bool{}
 	for _, s := range group.Spans {
 		names[s.Shard+"/"+s.Name] = true
-		if s.Name == "replan" {
+		if s.Name == "install" {
 			shards[s.Shard] = true
 		}
 	}
@@ -237,7 +245,7 @@ func TestClusterAdvanceTraceHeader(t *testing.T) {
 	}
 	for _, k := range []string{"0", "1", "2"} {
 		if !shards[k] {
-			t.Errorf("shard %s replan did not join trace %s", k, traceID)
+			t.Errorf("shard %s install did not join trace %s", k, traceID)
 		}
 	}
 }

@@ -88,11 +88,6 @@ type Instance struct {
 	// FinishCandidates, shared by clones that preserve the candidate set
 	// and the item→class assignment.
 	ix *index
-
-	// checkPool recycles CheckValid scratch state so validation is
-	// allocation-free after warmup. Lazily populated; safe for concurrent
-	// CheckValid calls.
-	checkPool sync.Pool
 }
 
 // NewInstance allocates an instance with the given shape. Prices default
@@ -359,9 +354,16 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("model: invalid strategy at %v: %s", e.Triple, e.Reason)
 }
 
+// checkPool recycles CheckValid scratch across instances, so validation
+// is allocation-free after warmup. It is package-level rather than per
+// instance: the runtime's pool registry holds every pool until two GCs
+// after its last use, and a pool inside an Instance would pin the whole
+// instance — every barrier's residual — for that long.
+var checkPool sync.Pool
+
 // checkScratch is pooled CheckValid state: dense counters over the
 // instance's slot/pair/item spaces plus touch lists so resetting costs
-// O(strategy), not O(index).
+// O(strategy), not O(index). Every counter is zero between uses.
 type checkScratch struct {
 	slotCount    []int32
 	pairCount    []int32
@@ -369,6 +371,15 @@ type checkScratch struct {
 	touchedSlots []int32
 	touchedPairs []int32
 	touchedItems []int32
+}
+
+// zeroed returns n zero counters, reusing b's all-zero backing array
+// when it is large enough.
+func zeroed(b []int32, n int) []int32 {
+	if cap(b) < n {
+		return make([]int32, n)
+	}
+	return b[:n]
 }
 
 func (sc *checkScratch) reset() {
@@ -399,17 +410,16 @@ func (in *Instance) CheckValid(s *Strategy) error {
 	if in.ix == nil {
 		return in.checkValidSlow(s)
 	}
-	sc, _ := in.checkPool.Get().(*checkScratch)
+	sc, _ := checkPool.Get().(*checkScratch)
 	if sc == nil {
-		sc = &checkScratch{
-			slotCount: make([]int32, len(in.ix.slotTime)),
-			pairCount: make([]int32, in.ix.numPairs),
-			itemUsers: make([]int32, in.NumItems()),
-		}
+		sc = &checkScratch{}
 	}
+	sc.slotCount = zeroed(sc.slotCount, len(in.ix.slotTime))
+	sc.pairCount = zeroed(sc.pairCount, in.ix.numPairs)
+	sc.itemUsers = zeroed(sc.itemUsers, in.NumItems())
 	err, ok := in.checkValidDense(s, sc)
 	sc.reset()
-	in.checkPool.Put(sc)
+	checkPool.Put(sc)
 	if !ok {
 		return in.checkValidSlow(s)
 	}

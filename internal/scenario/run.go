@@ -28,13 +28,6 @@ import (
 // canonical Outcome as an undisturbed one — the determinism contract
 // the durability subsystem is tested against.
 type Runner struct {
-	// Algorithm, when non-nil, plans full-horizon and residual
-	// strategies for both paths of every scenario, overriding the
-	// per-scenario Scenario.Algorithm name.
-	//
-	// Deprecated: declare Scenario.Algorithm (a solver-registry name)
-	// instead, which keeps scenarios serializable and self-describing.
-	Algorithm planner.Algorithm
 	// DataDir, when non-empty, backs every closed-loop trajectory with a
 	// durable engine rooted at DataDir/<scenario>-seed<seed>-traj<k>.
 	// Small WAL segments are used so even short runs exercise rotation
@@ -55,23 +48,22 @@ type Runner struct {
 	// any shard count — the equivalence CI asserts. 0 or 1 keeps the
 	// single-engine path.
 	Shards int
-	// WarmStart, Workers, and Incremental configure the closed-loop
-	// serving side's registry planning path. Setting any of them moves
-	// trajectory engines (and clusters) off the Planner-closure shortcut
-	// onto a registry config — Scenario.Algorithm plus these options —
-	// which is required for Incremental (the persistent-session replan
-	// path demands a registry G-Greedy algorithm). The open-loop path
-	// and the planning seed are unchanged, so runs differing only in
-	// Incremental stay byte-comparable.
+	// WarmStart, Workers, and Incremental tune the closed-loop serving
+	// side's planning, which always runs Scenario.Algorithm through the
+	// solver registry with the run's planning seed. The open-loop path
+	// is unaffected, so runs differing only in Incremental stay
+	// byte-comparable.
 	WarmStart   bool
 	Workers     int
 	Incremental bool
 }
 
-// registryMode reports whether closed-loop planning goes through the
-// solver registry instead of a Planner closure.
-func (r Runner) registryMode() bool {
-	return (r.WarmStart || r.Workers > 0 || r.Incremental) && r.Algorithm == nil
+// solverOptions is the registry config both paths plan with:
+// sc.Algorithm with a seed drawn from the same (name, seed) mix as the
+// instance, so the whole outcome stays a pure function of the pair.
+// The closed loop adds Runner.Workers.
+func solverOptions(sc Scenario, seed uint64) solver.Options {
+	return solver.Options{Algorithm: sc.Algorithm, Seed: instanceSeed(sc.Name, seed) ^ 0x5F5E}
 }
 
 // sharded reports whether closed-loop trajectories run on a cluster.
@@ -101,60 +93,48 @@ type crashFn func(cur engineLike) (engineLike, error)
 
 // engineConfig builds the serving config for one closed-loop
 // trajectory; with DataDir set the engine is durable.
-func (r Runner) engineConfig(sc Scenario, algo planner.Algorithm, seed uint64, k int) serve.Config {
+func (r Runner) engineConfig(sc Scenario, seed uint64, k int) serve.Config {
 	cfg := serve.Config{
-		Planner: algo,
-		Shards:  4,
+		Solver:      solverOptions(sc, seed),
+		WarmStart:   r.WarmStart,
+		Incremental: r.Incremental,
+		Shards:      4,
 		// Replans happen only at step boundaries (SetNow forces one;
 		// Flush covers pending adoptions), keeping trajectories
 		// independent of feedback-queue timing.
 		ReplanEvery: 1 << 30,
+		Durability:  r.durability(sc, seed, k),
 	}
-	if r.registryMode() {
-		cfg.Planner = nil
-		cfg.Algorithm = sc.Algorithm
-		cfg.Solver = solver.Options{
-			Seed:    instanceSeed(sc.Name, seed) ^ 0x5F5E,
-			Workers: r.Workers,
-		}
-		cfg.WarmStart = r.WarmStart
-		cfg.Incremental = r.Incremental
-	}
-	if r.DataDir != "" {
-		cfg.Durability = &serve.Durability{
-			Dir:          filepath.Join(r.DataDir, fmt.Sprintf("%s-seed%d-traj%d", sc.Name, seed, k)),
-			SegmentBytes: 4096,
-		}
-	}
+	cfg.Solver.Workers = r.Workers
 	return cfg
+}
+
+// durability is trajectory k's durable root under DataDir (nil without
+// one). Small WAL segments exercise rotation and compaction.
+func (r Runner) durability(sc Scenario, seed uint64, k int) *serve.Durability {
+	if r.DataDir == "" {
+		return nil
+	}
+	return &serve.Durability{
+		Dir:          filepath.Join(r.DataDir, fmt.Sprintf("%s-seed%d-traj%d", sc.Name, seed, k)),
+		SegmentBytes: 4096,
+	}
 }
 
 // clusterConfig is engineConfig's sharded twin: same planning policy
 // and per-trajectory durable root, but the barrier replan happens in
 // the coordinator and the 4 lock stripes live inside each shard engine.
-func (r Runner) clusterConfig(sc Scenario, algo planner.Algorithm, seed uint64, k int) cluster.Config {
+func (r Runner) clusterConfig(sc Scenario, seed uint64, k int) cluster.Config {
 	cfg := cluster.Config{
 		Shards:        r.Shards,
-		Planner:       algo,
+		Solver:        solverOptions(sc, seed),
+		WarmStart:     r.WarmStart,
+		Incremental:   r.Incremental,
 		EngineStripes: 4,
 		ReplanEvery:   1 << 30,
+		Durability:    r.durability(sc, seed, k),
 	}
-	if r.registryMode() {
-		cfg.Planner = nil
-		cfg.Algorithm = sc.Algorithm
-		cfg.Solver = solver.Options{
-			Seed:    instanceSeed(sc.Name, seed) ^ 0x5F5E,
-			Workers: r.Workers,
-		}
-		cfg.WarmStart = r.WarmStart
-		cfg.Incremental = r.Incremental
-	}
-	if r.DataDir != "" {
-		cfg.Durability = &serve.Durability{
-			Dir:          filepath.Join(r.DataDir, fmt.Sprintf("%s-seed%d-traj%d", sc.Name, seed, k)),
-			SegmentBytes: 4096,
-		}
-	}
+	cfg.Solver.Workers = r.Workers
 	return cfg
 }
 
@@ -182,25 +162,6 @@ func (r Runner) crashPlan(sc Scenario, seed uint64, k int, horizon int) (crashAt
 	return crashAt, checkpointAt
 }
 
-// algorithmFor resolves the planning function for sc at the given run
-// seed: the Runner-level override if set, otherwise sc.Algorithm
-// through the solver registry. Randomized algorithms draw their seed
-// from the same (name, seed) mix as the instance, so the whole outcome
-// stays a pure function of the pair.
-func (r Runner) algorithmFor(sc Scenario, seed uint64) (planner.Algorithm, error) {
-	if r.Algorithm != nil {
-		return r.Algorithm, nil
-	}
-	algo, err := planner.Named(solver.Options{
-		Algorithm: sc.Algorithm,
-		Seed:      instanceSeed(sc.Name, seed) ^ 0x5F5E,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-	}
-	return algo, nil
-}
-
 // Run executes sc through both paths at the given seed and reports the
 // outcome. Everything except Outcome.Timing is deterministic in
 // (sc, seed).
@@ -211,15 +172,9 @@ func (r Runner) Run(sc Scenario, seed uint64) (Outcome, error) {
 	if sc.Trajectories <= 0 {
 		sc.Trajectories = 8
 	}
-	algo, err := r.algorithmFor(sc, seed)
+	algo, err := planner.Named(solverOptions(sc, seed))
 	if err != nil {
-		return Outcome{}, err
-	}
-	algoName := sc.Algorithm
-	if r.Algorithm != nil {
-		// The deprecated func override planned this run; reporting the
-		// scenario's declared name would misdescribe the numbers.
-		algoName = "custom"
+		return Outcome{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 	in, err := Build(sc, seed)
 	if err != nil {
@@ -232,7 +187,7 @@ func (r Runner) Run(sc Scenario, seed uint64) (Outcome, error) {
 	out := Outcome{
 		Scenario:      sc.Name,
 		Description:   sc.Description,
-		Algorithm:     algoName,
+		Algorithm:     sc.Algorithm,
 		Seed:          seed,
 		Users:         in.NumUsers,
 		Items:         in.NumItems(),
@@ -252,7 +207,7 @@ func (r Runner) Run(sc Scenario, seed uint64) (Outcome, error) {
 	out.Timing.OpenLoopMillis = float64(time.Since(openStart).Microseconds()) / 1000
 
 	closedStart := time.Now()
-	if err := r.closedLoop(sc, seed, algo, in, prices, shocks, totalCap, &out); err != nil {
+	if err := r.closedLoop(sc, seed, in, prices, shocks, totalCap, &out); err != nil {
 		return Outcome{}, err
 	}
 	out.Timing.ClosedLoopMillis = float64(time.Since(closedStart).Microseconds()) / 1000
@@ -304,7 +259,7 @@ func (r Runner) openLoop(sc Scenario, seed uint64, algo planner.Algorithm, in *m
 // the outcomes back, applies due timeline mutations, and advances the
 // clock with a forced replan — the Recommend/Adopt/Advance cycle of a
 // deployed system, made deterministic by flushing at step boundaries.
-func (r Runner) closedLoop(sc Scenario, seed uint64, algo planner.Algorithm, pristine *model.Instance,
+func (r Runner) closedLoop(sc Scenario, seed uint64, pristine *model.Instance,
 	prices [][]float64, shocks map[model.TimeStep][]Mutation, totalCap int, out *Outcome) error {
 	users := make([]model.UserID, pristine.NumUsers)
 	for u := range users {
@@ -317,7 +272,7 @@ func (r Runner) closedLoop(sc Scenario, seed uint64, algo planner.Algorithm, pri
 		// applied mid-run must not leak into the pristine instance or
 		// sibling trajectories.
 		world := pristine.Clone()
-		eng, crash, err := r.openServing(sc, algo, seed, k, world)
+		eng, crash, err := r.openServing(sc, seed, k, world)
 		if err != nil {
 			return fmt.Errorf("scenario %q: %w", sc.Name, err)
 		}
@@ -355,10 +310,10 @@ func (r Runner) closedLoop(sc Scenario, seed uint64, algo planner.Algorithm, pri
 // trajectory's directory is cleared first: Open prefers recovery over
 // the fresh clone, so a leftover directory would silently replay a
 // finished world.
-func (r Runner) openServing(sc Scenario, algo planner.Algorithm, seed uint64, k int,
+func (r Runner) openServing(sc Scenario, seed uint64, k int,
 	world *model.Instance) (engineLike, crashFn, error) {
 	if r.sharded() {
-		ccfg := r.clusterConfig(sc, algo, seed, k)
+		ccfg := r.clusterConfig(sc, seed, k)
 		if d := ccfg.Durability; d != nil {
 			if err := os.RemoveAll(d.Dir); err != nil {
 				return nil, nil, fmt.Errorf("clearing trajectory dir: %w", err)
@@ -381,7 +336,7 @@ func (r Runner) openServing(sc Scenario, algo planner.Algorithm, seed uint64, k 
 		}
 		return cl, crash, nil
 	}
-	cfg := r.engineConfig(sc, algo, seed, k)
+	cfg := r.engineConfig(sc, seed, k)
 	if d := cfg.Durability; d != nil {
 		if err := os.RemoveAll(d.Dir); err != nil {
 			return nil, nil, fmt.Errorf("clearing trajectory dir: %w", err)

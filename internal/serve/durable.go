@@ -55,12 +55,29 @@ func (d *Durability) storeOptions(reg *obs.Registry) store.Options {
 // snapshot); if both in and recoverable state exist, the state wins —
 // a daemon restart must not silently re-generate its world.
 func Open(in *model.Instance, cfg Config) (*Engine, error) {
+	return open(in, cfg, false)
+}
+
+// OpenFollower is Open for an engine that never plans (a cluster shard):
+// its plan changes only through Install, starting from an empty plan or
+// the recovered snapshot's. cfg's planning fields are ignored, and Flush
+// completes once everything enqueued before it is applied and synced.
+func OpenFollower(in *model.Instance, cfg Config) (*Engine, error) {
+	return open(in, cfg, true)
+}
+
+func open(in *model.Instance, cfg Config, follower bool) (*Engine, error) {
 	d := cfg.Durability
 	if d == nil || d.Dir == "" {
 		if in == nil {
 			return nil, errors.New("serve: nil instance and no durable state configured")
 		}
-		return NewEngine(in, cfg)
+		e, err := newUnstartedEngine(in, cfg, follower)
+		if err != nil {
+			return nil, err
+		}
+		e.start()
+		return e, nil
 	}
 	// Build the observability pair before the store so WAL metrics land
 	// on the same registry the engine serves over /metrics.
@@ -75,7 +92,7 @@ func Open(in *model.Instance, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
 	if st.HasState() {
-		e, err := recoverEngine(st, cfg)
+		e, err := recoverEngine(st, cfg, follower)
 		if err != nil {
 			st.Close()
 			return nil, err
@@ -86,7 +103,7 @@ func Open(in *model.Instance, cfg Config) (*Engine, error) {
 		st.Close()
 		return nil, fmt.Errorf("serve: data dir %q holds no recoverable state and no instance was provided", d.Dir)
 	}
-	e, err := newUnstartedEngine(in, cfg)
+	e, err := newUnstartedEngine(in, cfg, follower)
 	if err != nil {
 		st.Close()
 		return nil, err
@@ -104,14 +121,14 @@ func Open(in *model.Instance, cfg Config) (*Engine, error) {
 // recoverEngine rebuilds an engine from st: newest snapshot first,
 // falling back one generation if the newest is unreadable (the store
 // retains two), then WAL replay from the snapshot's LSN.
-func recoverEngine(st *store.Store, cfg Config) (*Engine, error) {
+func recoverEngine(st *store.Store, cfg Config, follower bool) (*Engine, error) {
 	snaps := st.Snapshots()
 	if len(snaps) == 0 {
 		return nil, fmt.Errorf("serve: data dir %q has WAL records but no snapshot to anchor recovery", st.Dir())
 	}
 	var firstErr error
 	for i := len(snaps) - 1; i >= 0; i-- {
-		e, err := recoverFrom(st, snaps[i], cfg)
+		e, err := recoverFrom(st, snaps[i], cfg, follower)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
@@ -124,12 +141,12 @@ func recoverEngine(st *store.Store, cfg Config) (*Engine, error) {
 	return nil, fmt.Errorf("serve: recovery failed from every retained snapshot: %w", firstErr)
 }
 
-func recoverFrom(st *store.Store, lsn store.LSN, cfg Config) (*Engine, error) {
+func recoverFrom(st *store.Store, lsn store.LSN, cfg Config, follower bool) (*Engine, error) {
 	rc, err := st.OpenSnapshot(lsn)
 	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot %d: %w", lsn, err)
 	}
-	e, err := decodeShell(rc, cfg)
+	e, err := decodeShell(rc, cfg, follower)
 	rc.Close()
 	if err != nil {
 		return nil, fmt.Errorf("serve: snapshot %d: %w", lsn, err)
@@ -141,11 +158,12 @@ func recoverFrom(st *store.Store, lsn store.LSN, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: replay from %d: %w", lsn, err)
 	}
-	if stats.Records > 0 {
+	if stats.Records > 0 && !follower {
 		// The tail moved state past the snapshotted plan; replan once at
 		// boot so the served plan reflects what was recovered. The replan
 		// is synchronous — the engine never serves a stale plan — and
 		// traced, so /debug/traces shows the recovery replan right away.
+		// A follower waits for its owner's next Install instead.
 		e.replanWith(e.collectFeedback(), nil, e.met.tracer.Start("replan"))
 	}
 	e.start()

@@ -22,6 +22,8 @@
 //     background goroutine, which applies them to the shards and replans
 //     every ReplanEvery adoptions. Flush provides a synchronous barrier
 //     for tests and snapshots.
+//   - A follower (OpenFollower) never plans: it serves the plans its
+//     owner hands it through Install, ordered on the feedback queue.
 package serve
 
 import (
@@ -51,26 +53,19 @@ type Config struct {
 	// Algorithm names the registered solver used for planning and
 	// replanning ("g-greedy", "rl-greedy", ...; solver.List()
 	// enumerates, legacy aliases like "GG" resolve). Empty falls back
-	// to Solver.Algorithm, then to solver.DefaultAlgorithm. Ignored
-	// when Planner is set.
+	// to Solver.Algorithm, then to solver.DefaultAlgorithm.
 	Algorithm string
 	// Solver carries the named algorithm's options (permutations, seed,
 	// workers, cuts). When both name fields are set, Algorithm wins
 	// over Solver.Algorithm.
 	Solver solver.Options
-	// Planner, when non-nil, bypasses the registry with a custom
-	// planning function.
-	//
-	// Deprecated: solver.Register a named Algorithm and set Algorithm
-	// instead, which keeps the config serializable.
-	Planner planner.Algorithm
 	// WarmStart enables incremental replanning: each replan seeds the
 	// solver with the previous plan's still-feasible triples
 	// (Options.Warm) instead of solving from scratch, cutting replan
 	// latency when feedback batches invalidate only a small part of the
 	// plan. Warm-started plans generally differ from cold ones — leave
 	// it off when byte-identity with open-loop solves matters (the
-	// scenario goldens do). Ignored when Planner is set.
+	// scenario goldens do).
 	WarmStart bool
 	// Incremental replans through a persistent core.Session instead of
 	// rebuilding the residual instance from a full feedback snapshot:
@@ -82,8 +77,7 @@ type Config struct {
 	// solves without WarmStart, warm-started solves with it — so the
 	// switch is a pure latency/throughput trade. Requires a registry
 	// G-Greedy algorithm ("g-greedy" or "g-greedy-parallel");
-	// construction fails otherwise, and Planner overrides are
-	// incompatible.
+	// construction fails otherwise.
 	Incremental bool
 	// Shards overrides the shard count (rounded up to a power of two).
 	// 0 means next pow2 ≥ GOMAXPROCS.
@@ -135,38 +129,27 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// planSetup resolves the configured planning algorithm: the deprecated
-// Planner override verbatim, otherwise the named registry algorithm's
-// options, validated once here — an unknown name or a missing required
-// option fails engine construction with solver's actionable error
-// instead of failing a replan. Registry configs return (nil, opts);
-// the engine dispatches solver.Solve itself so every solve can carry a
-// trace span and report its phase counters to the meter.
-func (c Config) planSetup() (planner.Algorithm, solver.Options, error) {
-	if c.Planner != nil {
-		if c.Incremental {
-			return nil, solver.Options{}, errors.New("serve: Incremental is incompatible with a custom Planner (needs a registry G-Greedy algorithm)")
-		}
-		return c.Planner, solver.Options{}, nil
-	}
+// PlanOptions resolves the named registry algorithm's options from
+// Algorithm, Solver, and Incremental, validated once — an unknown name
+// or a missing required option fails construction (of an engine, or of
+// internal/cluster's coordinator) with solver's actionable error
+// instead of failing a replan.
+func (c Config) PlanOptions() (solver.Options, error) {
 	opts := c.Solver
 	if c.Algorithm != "" {
 		opts.Algorithm = c.Algorithm
 	}
 	if err := solver.ValidateOptions(opts); err != nil {
-		return nil, solver.Options{}, fmt.Errorf("serve: %w", err)
+		return solver.Options{}, err
 	}
 	if c.Incremental {
-		a, err := solver.Lookup(opts.Algorithm)
-		if err != nil {
-			return nil, solver.Options{}, fmt.Errorf("serve: %w", err)
-		}
+		a, _ := solver.Lookup(opts.Algorithm) // resolvable: validated above
 		if n := a.Name(); n != solver.NameGGreedy && n != solver.NameGGreedyParallel {
-			return nil, solver.Options{}, fmt.Errorf("serve: Incremental requires %q or %q, not %q",
+			return solver.Options{}, fmt.Errorf("Incremental requires %q or %q, not %q",
 				solver.NameGGreedy, solver.NameGGreedyParallel, n)
 		}
 	}
-	return nil, opts, nil
+	return opts, nil
 }
 
 // ErrClosed is returned by mutating calls (Feed, SetStock, ScalePrice)
@@ -209,11 +192,12 @@ type feedbackMsg struct {
 	ev      Event
 	flush   chan struct{}         // non-nil: barrier; closed once covered by a replan
 	advance model.TimeStep        // > 0: clock advanced to this step; replan forced
-	trace   obs.TraceRef          // with advance: trace the forced replan joins
+	trace   obs.TraceRef          // with advance or install: trace to join
 	snap    chan snapState        // non-nil: capture store state between applies
 	stock   *stockSet             // non-nil: exogenous inventory override
 	price   *priceOp              // non-nil: exogenous price rescale
 	fb      chan planner.Feedback // non-nil: export a consistent feedback view
+	install *installOp            // non-nil: a follower's next plan
 }
 
 // stockSet is an exogenous stock override (supplier shortfall, warehouse
@@ -246,6 +230,13 @@ const (
 	sessPrice
 )
 
+// installOp is a plan handed to a follower (see Install).
+type installOp struct {
+	s    *model.Strategy
+	from model.TimeStep
+	rev  float64
+}
+
 // priceOp is an exogenous price rescale (competitor undercut,
 // promotion): item's price is multiplied by factor from step `from`
 // through the end of the horizon. It mutates the engine's instance, so
@@ -261,10 +252,10 @@ type priceOp struct {
 type Engine struct {
 	in  *model.Instance
 	cfg Config
-	// custom is the deprecated Config.Planner override; nil for registry
-	// configs, which solve through opts (resolved once by planSetup).
-	custom planner.Algorithm
-	opts   solver.Options
+	// follower (OpenFollower) never plans; opts (unused by followers)
+	// is the registry algorithm's options, resolved once by PlanOptions.
+	follower bool
+	opts     solver.Options
 	// warm (Config.WarmStart on a registry config) seeds each replan's
 	// solve with warmPrev — the live plan's triples. warmPrev is written
 	// by installPlan and read by solve; both run either on
@@ -334,12 +325,7 @@ func NewEngine(in *model.Instance, cfg Config) (*Engine, error) {
 	if cfg.Durability != nil && cfg.Durability.Dir != "" {
 		return nil, errors.New("serve: durable engines must be created with Open (NewEngine never recovers existing state)")
 	}
-	e, err := newUnstartedEngine(in, cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.start()
-	return e, nil
+	return Open(in, cfg)
 }
 
 // newUnstartedEngine is the shared cold-boot construction — resolve
@@ -347,20 +333,19 @@ func NewEngine(in *model.Instance, cfg Config) (*Engine, error) {
 // install the initial strategy — without starting the feedback loop,
 // so the durable path can attach its store and write the base snapshot
 // first. Both NewEngine and Open build on it; boot invariants live in
-// exactly one place.
-func newUnstartedEngine(in *model.Instance, cfg Config) (*Engine, error) {
-	custom, opts, err := cfg.planSetup()
-	if err != nil {
-		return nil, err
-	}
+// exactly one place. A follower starts on an empty plan instead.
+func newUnstartedEngine(in *model.Instance, cfg Config, follower bool) (*Engine, error) {
 	if err := in.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: %w", err)
 	}
-	e := newEngineShell(in, cfg)
-	e.custom = custom
-	e.opts = opts
-	e.warm = cfg.WarmStart && custom == nil
-	e.incr = cfg.Incremental
+	e, err := newEngineShell(in, cfg, follower)
+	if err != nil {
+		return nil, err
+	}
+	if follower {
+		e.installPlan(model.NewStrategy(), 1, 0)
+		return e, nil
+	}
 	span := e.met.tracer.Start("plan")
 	s, rev := e.solve(in, span)
 	span.SetFloat("revenue", rev)
@@ -376,10 +361,6 @@ func newUnstartedEngine(in *model.Instance, cfg Config) (*Engine, error) {
 // the meter's solve telemetry and attaching a "solve" child to span
 // (nil span: no tracing, zero cost).
 func (e *Engine) solve(residual *model.Instance, span *obs.Span) (*model.Strategy, float64) {
-	if e.custom != nil {
-		s := e.custom(residual)
-		return s, revenue.Revenue(residual, s)
-	}
 	o := e.opts
 	if e.sess != nil {
 		// Incremental replan: the session carries the residual instance,
@@ -399,14 +380,26 @@ func (e *Engine) solve(residual *model.Instance, span *obs.Span) (*model.Strateg
 	return s, revenue.Revenue(residual, s)
 }
 
-// newEngineShell allocates an engine with store state but no plan and no
-// running feedback loop; NewEngine and Restore finish the setup.
-func newEngineShell(in *model.Instance, cfg Config) *Engine {
+// newEngineShell allocates an engine with store state and its resolved
+// planning config (none for a follower) but no plan and no running
+// feedback loop; NewEngine and Restore finish the setup.
+func newEngineShell(in *model.Instance, cfg Config, follower bool) (*Engine, error) {
+	var opts solver.Options
+	if !follower {
+		var err error
+		if opts, err = cfg.PlanOptions(); err != nil {
+			return nil, fmt.Errorf("serve: %w", err)
+		}
+	}
 	cfg = cfg.withDefaults()
 	n := shardCount(cfg.Shards)
 	e := &Engine{
 		in:       in,
 		cfg:      cfg,
+		follower: follower,
+		opts:     opts,
+		warm:     cfg.WarmStart && !follower,
+		incr:     cfg.Incremental && !follower,
 		shards:   make([]shard, n),
 		mask:     uint32(n - 1),
 		stock:    make([]atomic.Int64, in.NumItems()),
@@ -429,7 +422,7 @@ func newEngineShell(in *model.Instance, cfg Config) *Engine {
 	// built — the one that actually serves — wins the binding.
 	registerEngineMetrics(e)
 	e.slo = newEngineSLO(e)
-	return e
+	return e, nil
 }
 
 // installPlan indexes s and publishes it as the live plan. Warm-start
@@ -459,18 +452,23 @@ func (e *Engine) Now() model.TimeStep { return model.TimeStep(e.now.Load()) }
 
 // SetNow advances the engine clock to t (monotonically, within [1, T])
 // and requests an asynchronous replan, since the residual horizon
-// changed. Past feedback is unaffected.
+// changed. Past feedback is unaffected. On a follower it only moves the
+// clock. It returns ErrClosed once the engine is closed.
 func (e *Engine) SetNow(t model.TimeStep) error {
 	return e.SetNowCtx(context.Background(), t)
 }
 
 // SetNowCtx is SetNow carrying trace context: when ctx holds a span or
-// TraceRef (a cluster barrier, an X-Trace-Id'd /v1/advance), the replan
-// this advance triggers joins that trace as a remote span, so a
-// coordinator's barrier and every shard's replan share one TraceID.
+// TraceRef (an X-Trace-Id'd /v1/advance), the replan this advance
+// triggers joins that trace as a remote span.
 func (e *Engine) SetNowCtx(ctx context.Context, t model.TimeStep) error {
 	if t < 1 || int(t) > e.in.T {
 		return fmt.Errorf("serve: time step %d outside horizon [1,%d]", t, e.in.T)
+	}
+	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
+	if e.closed.Load() {
+		return ErrClosed
 	}
 	for {
 		cur := e.now.Load()
@@ -481,8 +479,45 @@ func (e *Engine) SetNowCtx(ctx context.Context, t model.TimeStep) error {
 			break
 		}
 	}
-	e.requestAdvance(t, obs.TraceRefFromContext(ctx))
+	e.feedback <- feedbackMsg{advance: t, trace: obs.TraceRefFromContext(ctx)}
 	return nil
+}
+
+// Install hands a follower its next plan over its instance: s, planned
+// from step from, with revenue rev. The loop publishes it after
+// everything enqueued before the call, raising the clock to from if it
+// lags; Flush waits for that. Its "install" span joins ctx's trace.
+func (e *Engine) Install(ctx context.Context, s *model.Strategy, from model.TimeStep, rev float64) error {
+	if !e.follower {
+		return errors.New("serve: Install on an engine that plans for itself (open followers with OpenFollower)")
+	}
+	if from < 1 || int(from) > e.in.T {
+		return fmt.Errorf("serve: time step %d outside horizon [1,%d]", from, e.in.T)
+	}
+	e.closeMu.RLock()
+	defer e.closeMu.RUnlock()
+	if e.closed.Load() {
+		return ErrClosed
+	}
+	e.feedback <- feedbackMsg{install: &installOp{s: s, from: from, rev: rev}, trace: obs.TraceRefFromContext(ctx)}
+	return nil
+}
+
+// install runs on the loop, so the plan reads prices between applies.
+func (e *Engine) install(op *installOp, ref obs.TraceRef) {
+	span := e.met.tracer.StartRemote("install", ref.TraceID, ref.ParentID)
+	for cur := e.now.Load(); int64(op.from) > cur; cur = e.now.Load() {
+		if e.now.CompareAndSwap(cur, int64(op.from)) {
+			e.walAppend(store.Record{Type: store.RecAdvance, T: int32(op.from)})
+			break
+		}
+	}
+	e.installPlan(op.s, op.from, op.rev)
+	e.walAppend(store.Record{Type: store.RecPlanSwap, Revision: e.revision.Load()})
+	span.SetInt("revision", e.revision.Load())
+	span.SetInt("triples", int64(op.s.Len()))
+	span.SetFloat("revenue", op.rev)
+	span.End()
 }
 
 // Recommend returns the planned recommendations for user u at time t,
@@ -738,20 +773,6 @@ func (e *Engine) Flush() {
 	<-done
 }
 
-// requestAdvance tells the feedback loop the clock moved to t, so it
-// can log the advance and force a replan. The send blocks only while
-// the queue is full — and the loop drains continuously even during a
-// replan, so the wait is bounded by apply time, not plan time. trace,
-// when nonzero, names the trace the forced replan should join.
-func (e *Engine) requestAdvance(t model.TimeStep, trace obs.TraceRef) {
-	e.closeMu.RLock()
-	defer e.closeMu.RUnlock()
-	if e.closed.Load() {
-		return
-	}
-	e.feedback <- feedbackMsg{advance: t, trace: trace}
-}
-
 // Stock returns item i's remaining stock as last applied by the
 // feedback loop (lock-free read of the serving-path atomic).
 func (e *Engine) Stock(i model.ItemID) (int, error) {
@@ -943,14 +964,23 @@ func (e *Engine) stopSnapshotter() {
 // at a time; triggers arriving mid-replan coalesce into the next run,
 // which collects fresh state when it starts, so no trigger is ever
 // lost. A Flush barrier completes once every event enqueued before it
-// has been applied and a replan covering them has finished.
+// has been applied and a replan covering them has finished: the one in
+// flight when the barrier arrived, or the next one if the barrier found
+// uncovered triggers — so later feedback never holds it hostage.
 func (e *Engine) loop() {
 	defer e.wg.Done()
+	// waiter is a Flush barrier, released once replan number gen finished.
+	type waiter struct {
+		done chan struct{}
+		gen  int64
+	}
 	var (
-		dirty    int             // adoptions not yet covered by a started replan
-		force    bool            // explicit replan requested (clock advance)
-		inFlight chan struct{}   // closed when the running replan finishes
-		waiters  []chan struct{} // Flush barriers awaiting coverage
+		dirty    int           // adoptions not yet covered by a started replan
+		force    bool          // replan requested (clock advance, stock or price change)
+		inFlight chan struct{} // closed when the running replan finishes
+		// started and finished count replans, which run one at a time.
+		started, finished int64
+		waiters           []waiter // in nondecreasing gen order
 		// pendingPrice holds price rescales that arrived while a replan
 		// was reading the instance off-thread: applying them immediately
 		// would race the replan's price reads. They commute with events
@@ -962,11 +992,20 @@ func (e *Engine) loop() {
 		// replan trace's queue-wait child span (tracing only).
 		waitStart time.Time
 		// pendingTrace is the trace the next replan should join — set by a
-		// clock advance that carried trace context (a cluster barrier, a
-		// traced /v1/advance) and consumed by the next started replan.
+		// clock advance that carried trace context (a traced /v1/advance)
+		// and consumed by the next started replan.
 		pendingTrace obs.TraceRef
 	)
-	trigger := func() {
+	// arm records a replan trigger; followers ignore them.
+	arm := func(adoption bool) {
+		if e.follower {
+			return
+		}
+		if adoption {
+			dirty++
+		} else {
+			force = true
+		}
 		if waitStart.IsZero() && e.met.tracer.Enabled() {
 			waitStart = time.Now()
 		}
@@ -978,8 +1017,7 @@ func (e *Engine) loop() {
 			if e.incr {
 				e.sessDelta = append(e.sessDelta, sessEvent{kind: sessPrice, item: op.item, t: op.from, factor: op.factor})
 			}
-			force = true
-			trigger()
+			arm(false)
 		}
 		pendingPrice = nil
 	}
@@ -1003,6 +1041,7 @@ func (e *Engine) loop() {
 	}
 	start := func() {
 		dirty, force = 0, false
+		started++
 		// StartRemote joins the pending trace when one is set and opens a
 		// fresh local trace otherwise (zero TraceID falls back to Start).
 		span := e.met.tracer.StartRemote("replan", pendingTrace.TraceID, pendingTrace.ParentID)
@@ -1024,18 +1063,24 @@ func (e *Engine) loop() {
 		}()
 	}
 	progress := func() {
-		if inFlight == nil && (force || dirty >= e.cfg.ReplanEvery || (dirty > 0 && len(waiters) > 0)) {
+		owed := len(waiters) > 0 && waiters[len(waiters)-1].gen > started
+		if inFlight == nil && (force || dirty >= e.cfg.ReplanEvery || owed) {
 			start()
 		}
-		if inFlight == nil && dirty == 0 && len(waiters) > 0 {
-			// Everything enqueued before these barriers is applied and
-			// covered; make it durable before letting the callers proceed.
-			e.walSync()
-			for _, w := range waiters {
-				close(w)
-			}
-			waiters = nil
+		n := 0
+		for n < len(waiters) && waiters[n].gen <= finished {
+			n++
 		}
+		if n == 0 {
+			return
+		}
+		// Everything enqueued before these barriers is applied and
+		// covered; make it durable before letting the callers proceed.
+		e.walSync()
+		for _, w := range waiters[:n] {
+			close(w.done)
+		}
+		waiters = waiters[n:]
 	}
 	for {
 		select {
@@ -1044,7 +1089,7 @@ func (e *Engine) loop() {
 				if e.killed.Load() {
 					// Crash: drop state on the floor, only unblock callers.
 					for _, w := range waiters {
-						close(w)
+						close(w.done)
 					}
 					return
 				}
@@ -1061,7 +1106,7 @@ func (e *Engine) loop() {
 				}
 				e.walSync()
 				for _, w := range waiters {
-					close(w)
+					close(w.done)
 				}
 				return
 			}
@@ -1081,26 +1126,30 @@ func (e *Engine) loop() {
 			}
 			switch {
 			case msg.flush != nil:
-				waiters = append(waiters, msg.flush)
+				gen := started
+				if dirty > 0 || force || len(pendingPrice) > 0 {
+					gen++
+				}
+				waiters = append(waiters, waiter{done: msg.flush, gen: gen})
 			case msg.snap != nil:
 				msg.snap <- e.captureState()
 			case msg.fb != nil:
 				msg.fb <- e.collectFeedback()
+			case msg.install != nil:
+				e.install(msg.install, msg.trace)
 			case msg.advance > 0:
 				e.walAppend(store.Record{Type: store.RecAdvance, T: int32(msg.advance)})
-				force = true
 				if msg.trace.TraceID != 0 {
 					pendingTrace = msg.trace
 				}
-				trigger()
+				arm(false)
 			case msg.stock != nil:
 				e.walAppend(store.Record{Type: store.RecSetStock, Item: int32(msg.stock.item), Stock: msg.stock.n})
 				e.stock[msg.stock.item].Store(msg.stock.n)
 				if e.incr {
 					e.sessDelta = append(e.sessDelta, sessEvent{kind: sessStock, item: msg.stock.item, n: int(msg.stock.n)})
 				}
-				force = true
-				trigger()
+				arm(false)
 			case msg.price != nil:
 				pendingPrice = append(pendingPrice, *msg.price)
 				if inFlight == nil {
@@ -1114,13 +1163,13 @@ func (e *Engine) loop() {
 						item: msg.ev.Item, t: msg.ev.T, adopt: msg.ev.Adopted})
 				}
 				if e.apply(msg.ev) {
-					dirty++
-					trigger()
+					arm(true)
 				}
 			}
 			progress()
 		case <-inFlight:
 			inFlight = nil
+			finished++
 			applyPrices()
 			progress()
 		}

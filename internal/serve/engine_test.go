@@ -2,11 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -43,8 +45,6 @@ func testInstance(t testing.TB, users, items, horizon, k int, seed uint64) *mode
 	}
 	return in
 }
-
-func ggAlgo(in *model.Instance) *model.Strategy { return core.GGreedy(in).Strategy }
 
 func newTestEngine(t testing.TB, in *model.Instance, cfg Config) *Engine {
 	t.Helper()
@@ -624,8 +624,8 @@ func ExampleEngine() {
 
 // TestConfigAlgorithmResolution: a named algorithm (alias spelling
 // included) resolves through the solver registry and plans exactly
-// what the deprecated Planner-func override plans; an unknown name
-// fails engine construction with an actionable error.
+// what a direct solver.Solve of the canonical name plans; an unknown
+// name fails engine construction with an actionable error.
 func TestConfigAlgorithmResolution(t *testing.T) {
 	in := testInstance(t, 24, 6, 3, 1, 4)
 	named, err := NewEngine(in, Config{Algorithm: "GG", ReplanEvery: 1 << 30})
@@ -633,14 +633,13 @@ func TestConfigAlgorithmResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer named.Close()
-	override, err := NewEngine(in, Config{Planner: ggAlgo, ReplanEvery: 1 << 30})
+	direct, err := solver.Solve(context.Background(), in, solver.Options{Algorithm: solver.NameGGreedy})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer override.Close()
-	a, b := named.Strategy().Triples(), override.Strategy().Triples()
+	a, b := named.Strategy().Triples(), direct.Strategy.Triples()
 	if len(a) != len(b) {
-		t.Fatalf("named plan has %d triples, Planner override %d", len(a), len(b))
+		t.Fatalf("named plan has %d triples, direct solve %d", len(a), len(b))
 	}
 	for i := range a {
 		if a[i] != b[i] {
@@ -671,5 +670,70 @@ func TestConfigSolverAlgorithmFallback(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("triple %d: %v != %v", i, got[i], want[i])
 		}
+	}
+}
+
+// TestFlushLiveUnderSteadyAdoptions: Flush must return once the
+// adoptions enqueued before it are covered by a replan, even while
+// another goroutine keeps feeding fresh adoptions. Waiting instead for
+// a moment with no uncovered adoption at all starves Flush for as long
+// as the stream lasts.
+func TestFlushLiveUnderSteadyAdoptions(t *testing.T) {
+	in := testInstance(t, 3000, 8, 3, 2, 5)
+	e := newTestEngine(t, in, Config{ReplanEvery: 1 << 30})
+	stop := feedSteadily(t, in, e.Feed)
+	defer stop()
+	start := time.Now()
+	done := make(chan struct{})
+	go func() {
+		e.Flush()
+		close(done)
+	}()
+	const bound = 5 * time.Second
+	select {
+	case <-done:
+		t.Logf("Flush returned after %v under a steady adoption stream", time.Since(start))
+	case <-time.After(bound):
+		t.Errorf("Flush still blocked after %v under a steady adoption stream", bound)
+	}
+	stop()
+	<-done
+}
+
+// feedSteadily feeds an adoption about every half millisecond until the
+// returned stop is called (idempotent), cycling through the users so
+// most are fresh (user, class) pairs that count toward a replan. The
+// supply outlasts any test bound here. It returns once the stream is
+// under way.
+func feedSteadily(t *testing.T, in *model.Instance, feed func(Event) error) (stop func()) {
+	t.Helper()
+	quit, running := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	var underway sync.Once
+	go func() {
+		defer wg.Done()
+		defer underway.Do(func() { close(running) }) // even on an early error
+		for n := 0; n < in.NumUsers*in.NumItems(); n++ {
+			select {
+			case <-quit:
+				return
+			case <-time.After(500 * time.Microsecond):
+			}
+			ev := Event{User: model.UserID(n % in.NumUsers), Item: model.ItemID(n / in.NumUsers), T: 1, Adopted: true}
+			if err := feed(ev); err != nil {
+				t.Error(err)
+				return
+			}
+			if n == 16 {
+				underway.Do(func() { close(running) })
+			}
+		}
+	}()
+	<-running
+	var once sync.Once
+	return func() {
+		once.Do(func() { close(quit) })
+		wg.Wait()
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 
@@ -100,7 +101,7 @@ func Handler(e *Engine) http.Handler {
 		err := e.FeedCtx(ctx, ev)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, ErrorStatus(err), err.Error())
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -119,7 +120,7 @@ func Handler(e *Engine) http.Handler {
 		err := e.SetNowCtx(ctx, req.Now)
 		sp.End()
 		if err != nil {
-			httpError(w, http.StatusBadRequest, err.Error())
+			httpError(w, ErrorStatus(err), err.Error())
 			return
 		}
 		writeJSON(w, map[string]int{"now": int(e.Now())})
@@ -159,6 +160,15 @@ func writeJSON(w http.ResponseWriter, v any) {
 		w.Header().Set("Content-Type", "application/json")
 	}
 	_ = json.NewEncoder(w).Encode(v)
+}
+
+// ErrorStatus maps a failed feed or advance to its HTTP status: 503
+// (retry later) for a closed engine, 400 for a bad request.
+func ErrorStatus(err error) int {
+	if errors.Is(err, ErrClosed) {
+		return http.StatusServiceUnavailable
+	}
+	return http.StatusBadRequest
 }
 
 func httpError(w http.ResponseWriter, code int, msg string) {

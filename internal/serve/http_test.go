@@ -202,6 +202,16 @@ func TestHTTPBatchAdoptStatsMetrics(t *testing.T) {
 	if code != http.StatusOK || !bytes.Contains(body, []byte("revmaxd_recommend_total")) {
 		t.Fatalf("metrics: %d %s", code, body)
 	}
+
+	// A closed engine answers feedback and clock moves with 503 (retry
+	// later), not 400: the request was fine, the engine is gone.
+	e.Close()
+	if code, body := post(t, srv.URL+"/v1/adopt", Event{User: 1, Item: 0, T: 2}); code != http.StatusServiceUnavailable {
+		t.Fatalf("adopt on a closed engine: %d %s, want 503", code, body)
+	}
+	if code, body := post(t, srv.URL+"/v1/advance", map[string]int{"now": 3}); code != http.StatusServiceUnavailable {
+		t.Fatalf("advance on a closed engine: %d %s, want 503", code, body)
+	}
 }
 
 func itoa(n int) string {

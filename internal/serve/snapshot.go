@@ -181,7 +181,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 	if cfg.Durability != nil && cfg.Durability.Dir != "" {
 		return nil, errors.New("serve: durable engines must be created with Open (Restore is the in-memory warm-restart path)")
 	}
-	e, err := decodeShell(r, cfg)
+	e, err := decodeShell(r, cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -194,11 +194,7 @@ func Restore(r io.Reader, cfg Config) (*Engine, error) {
 // recovery first replays the WAL tail on the still-single-threaded
 // shell. The snapshotted plan is installed verbatim (with its revision,
 // so monitoring sees continuity).
-func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
-	custom, opts, err := cfg.planSetup()
-	if err != nil {
-		return nil, err
-	}
+func decodeShell(r io.Reader, cfg Config, follower bool) (*Engine, error) {
 	var wire snapshotWire
 	if err := json.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, fmt.Errorf("serve: snapshot decode: %w", err)
@@ -230,11 +226,10 @@ func decodeShell(r io.Reader, cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("serve: snapshot clock %d outside horizon [1,%d]", wire.Now, in.T)
 	}
 
-	e := newEngineShell(in, cfg)
-	e.custom = custom
-	e.opts = opts
-	e.warm = cfg.WarmStart && custom == nil
-	e.incr = cfg.Incremental
+	e, err := newEngineShell(in, cfg, follower)
+	if err != nil {
+		return nil, err
+	}
 	e.now.Store(int64(wire.Now))
 	e.adoptions.Store(wire.Adoptions)
 	e.exposures.Store(wire.Exposures)
