@@ -302,10 +302,11 @@ func run(args []string, stdout io.Writer) error {
 // startFlushTicker drives the cluster's coordinated barrier on a
 // wall-clock cadence, bounding how stale the coordinator's stock
 // ledger and the served plan can get when adoption traffic trickles in
-// below the -replan-every count trigger. Flush is a no-op when nothing
-// is dirty, so an idle cluster pays only a mutex round-trip per tick.
-// The returned stop function waits for the driver to exit and must be
-// called before drainAndStop so no barrier races the final seal.
+// below the -replan-every count trigger. Each tick schedules a
+// background barrier, which an explicit one (an /v1/advance) may
+// preempt, and which is a no-op when nothing is dirty, so an idle
+// cluster pays only a mutex round-trip per tick. The returned stop
+// function waits for the driver to exit.
 func startFlushTicker(cl *cluster.Cluster, every time.Duration) func() {
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -318,7 +319,7 @@ func startFlushTicker(cl *cluster.Cluster, every time.Duration) func() {
 			case <-stop:
 				return
 			case <-t.C:
-				cl.Flush()
+				cl.ScheduleFlush()
 			}
 		}
 	}()

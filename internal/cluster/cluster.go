@@ -227,6 +227,15 @@ type Cluster struct {
 	flushWG      sync.WaitGroup
 	stopOnce     sync.Once
 
+	// bgMu guards the hand-off by which explicit barriers (Flush,
+	// SetNow, Close) preempt background ones: bgCancel cancels the solve
+	// of the background barrier holding mu (nil when none does), and
+	// explicitWaiting counts explicit barriers queued for mu, to which a
+	// starting background barrier yields.
+	bgMu            sync.Mutex
+	bgCancel        context.CancelFunc
+	explicitWaiting int
+
 	clock   atomic.Int64
 	replans atomic.Int64
 	errMu   sync.Mutex
@@ -312,20 +321,74 @@ func (c *Cluster) startFlusher() {
 			case <-c.quitCh:
 				return
 			case <-c.flushCh:
-				c.Flush()
+				c.backgroundFlush()
 			}
 		}
 	}()
 }
 
-// scheduleFlush requests an asynchronous barrier; requests arriving
-// while one is already pending coalesce (the flush that runs covers
-// them all).
-func (c *Cluster) scheduleFlush() {
+// ScheduleFlush requests a background barrier without waiting for it:
+// the cluster's flusher runs it, requests arriving while one is already
+// pending coalesce (the flush that runs covers them all), and an
+// explicit barrier may preempt it. Periodic drivers use it instead of
+// Flush, so a tick never cancels a running background barrier's solve.
+func (c *Cluster) ScheduleFlush() {
 	select {
 	case c.flushCh <- struct{}{}:
 	default:
 	}
+}
+
+// backgroundFlush runs one barrier for the flusher goroutine. Its
+// solve runs under a context that an explicit barrier cancels
+// (lockExplicit), and it yields outright to an explicit barrier already
+// queued for mu: that barrier covers everything fed so far.
+func (c *Cluster) backgroundFlush() {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.bgMu.Lock()
+	yield := c.explicitWaiting > 0
+	if !yield {
+		c.bgCancel = cancel
+	}
+	c.bgMu.Unlock()
+	if yield {
+		return
+	}
+	c.flushLocked(ctx, obs.TraceRef{})
+	c.bgMu.Lock()
+	c.bgCancel = nil
+	c.bgMu.Unlock()
+}
+
+// preemptBackground queues an explicit barrier: it cancels the solve of
+// a background barrier holding mu and keeps new background barriers
+// from starting until endPreempt.
+func (c *Cluster) preemptBackground() {
+	c.bgMu.Lock()
+	c.explicitWaiting++
+	if c.bgCancel != nil {
+		c.bgCancel()
+	}
+	c.bgMu.Unlock()
+}
+
+// endPreempt dequeues an explicit barrier that now holds mu.
+func (c *Cluster) endPreempt() {
+	c.bgMu.Lock()
+	c.explicitWaiting--
+	c.bgMu.Unlock()
+}
+
+// lockExplicit takes mu for an explicit barrier, preempting a running
+// background barrier so the caller waits for its solve to unwind rather
+// than to finish.
+func (c *Cluster) lockExplicit() {
+	c.preemptBackground()
+	c.mu.Lock()
+	c.endPreempt()
 }
 
 // stopFlusher retires the barrier driver. Callers must NOT hold c.mu:
@@ -355,13 +418,13 @@ func boot(in *model.Instance, cfg Config) (*Cluster, error) {
 	// Initial plan mirrors a single engine's boot: solve the raw
 	// instance (not a residual) so the first strategy matches what
 	// serve.NewEngine would install. The quota trim is a no-op for
-	// valid solver output (same-pointer fast path).
-	s := c.solveGlobal(in, nil)
-	s, denied := admitQuota(in, s)
+	// valid solver output.
+	res, _ := c.solveGlobal(context.Background(), in, nil)
+	s, p, denied := admit(in, res)
 	if denied > 0 {
 		c.co.denials.Add(int64(denied))
 	}
-	c.installGlobal(in, s)
+	c.installGlobal(in, s, p)
 	c.engines = make([]*serve.Engine, c.n)
 	for k := 0; k < c.n; k++ {
 		sub := subInstance(in, c.n, k)
@@ -640,7 +703,7 @@ func (c *Cluster) FeedCtx(ctx context.Context, ev serve.Event) error {
 	if ev.Adopted {
 		c.dirty.Store(true)
 		if c.pendingAdopt.Add(1) >= int64(c.replanEvery) {
-			c.scheduleFlush()
+			c.ScheduleFlush()
 		}
 	}
 	return nil
@@ -663,17 +726,22 @@ func (c *Cluster) SetNowCtx(ctx context.Context, t model.TimeStep) error {
 	if t < 1 || int(t) > c.inst().T {
 		return fmt.Errorf("cluster: time step %d outside horizon [1,%d]", t, c.inst().T)
 	}
-	c.mu.Lock()
+	c.lockExplicit()
 	defer c.mu.Unlock()
 	if c.closed {
 		return errClosed
 	}
 	if int64(t) < c.clock.Load() {
+		// No barrier runs: hand whatever a preempted background barrier
+		// re-armed back to the flusher.
+		c.ScheduleFlush()
 		return fmt.Errorf("cluster: clock may not move backwards (%d < %d)", t, c.clock.Load())
 	}
 	c.clock.Store(int64(t))
 	c.force.Store(true)
-	c.flushLocked(obs.TraceRefFromContext(ctx))
+	// The barrier is explicit: ctx carries only the caller's trace, and
+	// a client giving up must not cancel the solve.
+	c.flushLocked(context.Background(), obs.TraceRefFromContext(ctx))
 	return nil
 }
 
@@ -708,7 +776,7 @@ func (c *Cluster) SetStock(i model.ItemID, n int) error {
 	c.engMu.RUnlock()
 	c.co.updateGauges()
 	c.force.Store(true)
-	c.scheduleFlush()
+	c.ScheduleFlush()
 	return nil
 }
 
@@ -771,7 +839,7 @@ func (c *Cluster) ScalePrice(i model.ItemID, from model.TimeStep, factor float64
 		c.sess.ScalePrice(i, from, factor)
 	}
 	c.force.Store(true)
-	c.scheduleFlush()
+	c.ScheduleFlush()
 	return nil
 }
 
@@ -787,11 +855,13 @@ func (c *Cluster) ScalePrice(i model.ItemID, from model.TimeStep, factor float64
 // ReplanEvery-th adoption schedules one, exogenous stock/price changes
 // schedule one, and SetNow runs one synchronously. Explicit Flush
 // remains the deterministic synchronization point for tests and
-// snapshots.
+// snapshots. An explicit barrier (Flush, SetNow, Close) preempts a
+// background one stuck in its solve instead of queueing behind it, and
+// is never preempted itself.
 func (c *Cluster) Flush() {
-	c.mu.Lock()
+	c.lockExplicit()
 	defer c.mu.Unlock()
-	c.flushLocked(obs.TraceRef{})
+	c.flushLocked(context.Background(), obs.TraceRef{})
 }
 
 // flushLocked runs one barrier under a coordinator trace: a root span
@@ -802,7 +872,13 @@ func (c *Cluster) Flush() {
 // /debug/traces view shows one coordinated timeline. Barriers that find
 // no work drop their span unpublished — the 1s background ticks of an
 // idle cluster never reach the ring, the histogram, or the log.
-func (c *Cluster) flushLocked(ref obs.TraceRef) {
+//
+// ctx is canceled only for a background barrier an explicit one
+// preempts. When that cancel ends the solve, the barrier installs
+// nothing, re-arms the replan it consumed, leaves the syncs to the
+// explicit barrier waiting for mu, and publishes its span with
+// preempted=1.
+func (c *Cluster) flushLocked(ctx context.Context, ref obs.TraceRef) {
 	if c.closed {
 		return
 	}
@@ -829,14 +905,32 @@ func (c *Cluster) flushLocked(ref obs.TraceRef) {
 	replanned := dirty || force
 	if replanned {
 		c.pendingAdopt.Store(0)
-		if c.replanLocked(sp) {
+		made, preempted := c.replanLocked(ctx, sp)
+		if preempted {
+			if dirty {
+				c.dirty.Store(true)
+			}
+			if force {
+				c.force.Store(true)
+			}
+			c.co.preempted.Inc()
+			sp.SetInt("shards", int64(c.n))
+			sp.SetInt("preempted", 1)
+			sp.End()
+			if c.logger != nil {
+				obs.WithTrace(c.logger, sp).Info("barrier preempted",
+					"duration_ms", time.Since(t0).Milliseconds(), "shards", c.n)
+			}
+			return
+		}
+		if made {
 			// Barrier 2: install every shard's slice at the cluster clock.
 			// The trace rides along as a goroutine-shareable ref: each
 			// shard's install opens its own remote span under this one.
 			install := sp.Child("install")
-			ctx := obs.ContextWithTraceRef(context.Background(),
+			ictx := obs.ContextWithTraceRef(context.Background(),
 				obs.TraceRef{TraceID: sp.TraceID(), ParentID: install.SpanID()})
-			c.installLocked(ctx, model.TimeStep(c.clock.Load()))
+			c.installLocked(ictx, model.TimeStep(c.clock.Load()))
 			install.End()
 		}
 	}
@@ -937,7 +1031,7 @@ func (c *Cluster) reconcileLocked() (granted, charged bool) {
 				co.pushed[k][i] = views[k]
 				continue
 			}
-			if err := e.SetStock(item, int(co.stock[i])); err != nil {
+			if err := e.GrantStock(item, int(views[k]), int(co.stock[i])); err != nil {
 				// A killed shard can't accept grants mid-barrier; the
 				// condition is transient — RecoverShard re-baselines the
 				// shard's view against the ledger — so it is not recorded
@@ -962,8 +1056,9 @@ func (c *Cluster) reconcileLocked() (granted, charged bool) {
 // coordinator ledger, clock from the cluster), solve the residual
 // instance once, trim any quota violation, and slice the result for
 // installation. Each phase is recorded as a child of the caller's
-// barrier span. It reports whether a new plan was made.
-func (c *Cluster) replanLocked(sp *obs.Span) bool {
+// barrier span. It reports whether a new plan was made, or whether
+// canceling ctx preempted the solve instead.
+func (c *Cluster) replanLocked(ctx context.Context, sp *obs.Span) (made, preempted bool) {
 	gather := sp.Child("gather")
 	fb, err := c.gatherFeedback()
 	gather.End()
@@ -978,7 +1073,7 @@ func (c *Cluster) replanLocked(sp *obs.Span) bool {
 			c.setErr(err)
 		}
 		c.dirty.Store(true)
-		return false
+		return false, false
 	}
 	merge := sp.Child("merge")
 	var residual *model.Instance
@@ -1005,20 +1100,27 @@ func (c *Cluster) replanLocked(sp *obs.Span) bool {
 		residual = planner.Residual(c.inst(), fb)
 	}
 	merge.End()
-	s := c.solveGlobal(residual, sp)
+	res, preempted := c.solveGlobal(ctx, residual, sp)
+	if preempted {
+		// The canceled solve left the session mid-scan. Drop it: the next
+		// barrier rebuilds it from the merged feedback, seeded with the
+		// last installed plan, as after a recovery.
+		c.sess = nil
+		return false, true
+	}
 	if c.sess != nil {
 		st := c.sess.LastStats()
 		sp.SetInt("dirty_cands", int64(st.DirtyCands))
 		sp.SetInt("restored_pairs", int64(st.RestoredPairs))
 	}
 	trim := sp.Child("trim")
-	s, denied := admitQuota(residual, s)
+	s, p, denied := admit(residual, res)
 	trim.End()
 	if denied > 0 {
 		c.co.denials.Add(int64(denied))
 	}
 	slice := sp.Child("slice")
-	c.installGlobal(residual, s)
+	c.installGlobal(residual, s, p)
 	slice.End()
 	if c.logger != nil {
 		obs.WithTrace(c.logger, sp).Info("coordinated replan",
@@ -1026,7 +1128,7 @@ func (c *Cluster) replanLocked(sp *obs.Span) bool {
 			"triples", s.Len(), "denied", denied,
 			"now", c.clock.Load())
 	}
-	return true
+	return true, false
 }
 
 // gatherFeedback merges the shards' consistent feedback exports into
@@ -1062,11 +1164,11 @@ func (c *Cluster) gatherFeedback() (planner.Feedback, error) {
 }
 
 // solveGlobal runs the configured algorithm on the global residual —
-// the single planning invocation per coordinated replan. A non-nil sp
-// receives the solver's own "solve" child span with phase breakdown.
-func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) *model.Strategy {
-	c.replans.Add(1)
-	c.co.replansC.Inc()
+// the single planning invocation per coordinated replan — under ctx.
+// A non-nil sp receives the solver's own "solve" child span with phase
+// breakdown. It reports preempted when the solve returned ctx's error;
+// any other failure degrades to an empty plan, as on a single engine.
+func (c *Cluster) solveGlobal(ctx context.Context, residual *model.Instance, sp *obs.Span) (res solver.Result, preempted bool) {
 	o := c.opts
 	o.Span = sp
 	if c.sess != nil {
@@ -1076,12 +1178,29 @@ func (c *Cluster) solveGlobal(residual *model.Instance, sp *obs.Span) *model.Str
 	} else if c.warm {
 		o.Warm = c.warmPrev
 	}
-	res, err := solver.Solve(context.Background(), residual, o)
+	res, err := solver.Solve(ctx, residual, o)
+	if err != nil {
+		return solver.Result{}, ctx.Err() != nil && errors.Is(err, ctx.Err())
+	}
+	return res, false
+}
+
+// admit enforces the cluster-wide constraints on a solve's output and
+// returns the admitted strategy with its dense plan over residual (nil
+// when the strategy holds non-candidate triples). A valid plan bound to
+// residual, which every built-in solver returns, passes with the plan's
+// O(1) validity check; anything else goes through admitQuota.
+func admit(residual *model.Instance, res solver.Result) (*model.Strategy, *model.Plan, int) {
+	if p := res.Plan; p != nil && p.Instance() == residual && p.Valid() == nil {
+		return res.Strategy, p, 0
+	}
 	s := res.Strategy
-	if err != nil || s == nil {
+	if s == nil {
 		s = model.NewStrategy()
 	}
-	return s
+	s, denied := admitQuota(residual, s)
+	p, _ := residual.PlanOf(s)
+	return s, p, denied
 }
 
 // admitQuota enforces the cluster-wide constraints on a freshly solved
@@ -1121,17 +1240,40 @@ func admitQuota(in *model.Instance, s *model.Strategy) (*model.Strategy, int) {
 	return out, denied
 }
 
-// installGlobal publishes s as the live global plan: revenue is
-// evaluated against the residual it was solved on, and the strategy is
-// sliced by owning shard for the next install.
-func (c *Cluster) installGlobal(residual *model.Instance, s *model.Strategy) {
-	c.revBits.Store(math.Float64bits(revenue.Revenue(residual, s)))
+// installGlobal publishes s as the live global plan and slices it by
+// owning shard for the next install. Revenue, whole and per shard, is
+// evaluated against the residual it was solved on: in one pass over
+// the dense plan p, or with the map-based Revenue when s holds
+// non-candidate triples (p == nil).
+func (c *Cluster) installGlobal(residual *model.Instance, s *model.Strategy, p *model.Plan) {
+	c.replans.Add(1)
+	c.co.replansC.Inc()
+	zs := s.Triples()
+	parts := sliceTriples(zs, c.n)
+	var total float64
+	var shares []float64
+	if p != nil {
+		total, shares = revenue.PlanShares(p, c.n)
+	} else {
+		total, shares = revenue.Revenue(residual, s), make([]float64, c.n)
+		for k, part := range parts {
+			owned := make([]model.Triple, len(part))
+			for j, z := range part {
+				owned[j] = model.Triple{U: globalID(k, z.U, c.n), I: z.I, T: z.T}
+			}
+			shares[k] = revenue.Revenue(residual, model.SortedStrategy(owned))
+		}
+	}
+	c.revBits.Store(math.Float64bits(total))
 	c.strat.Store(s)
 	c.lastReplan.Store(time.Now().UnixNano())
 	if c.warm {
-		c.warmPrev = s.Triples()
+		c.warmPrev = zs
 	}
-	c.installed = sliceStrategy(residual, s, c.n)
+	c.installed = make([]shardPlan, c.n)
+	for k, part := range parts {
+		c.installed[k] = shardPlan{s: model.SortedStrategy(part), rev: shares[k]}
+	}
 }
 
 // Sync flushes the cluster and reports the first durability error any
@@ -1307,16 +1449,19 @@ func (c *Cluster) StatsSamples() []serve.StatsSample {
 // Close flushes outstanding work (one final coordinated replan if
 // needed), closes every shard engine (each writes its final snapshot),
 // and seals the coordinator ledger. The background flusher is retired
-// first — it must not race the teardown for the barrier mutex.
+// first — it must not race the teardown for the barrier mutex — after
+// its running barrier, if any, is preempted.
 func (c *Cluster) Close() {
 	c.slo.Stop()
+	c.preemptBackground()
 	c.stopFlusher()
 	c.mu.Lock()
+	c.endPreempt()
 	defer c.mu.Unlock()
 	if c.closed {
 		return
 	}
-	c.flushLocked(obs.TraceRef{})
+	c.flushLocked(context.Background(), obs.TraceRef{})
 	c.closed = true
 	c.closeEngines()
 	if c.co.st != nil {

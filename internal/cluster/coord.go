@@ -15,9 +15,11 @@
 // reconciles: each shard's drawdown since its last grant is subtracted
 // from the authoritative remainder R (floored at zero), the new R is
 // appended to the coordinator's own log, and diverged views are
-// re-granted. Because views are clipped at zero, the reconciled R is
-// identical to what a single engine reaches applying the same
-// adoptions sequentially: max(0, R − Σ min(R, nₖ)) = max(0, R − Σ nₖ).
+// re-granted through the shard's GrantStock, which keeps any adoption
+// the shard applied after the coordinator read its view. Because views
+// are clipped at zero, the reconciled R is identical to what a single
+// engine reaches applying the same adoptions sequentially:
+// max(0, R − Σ min(R, nₖ)) = max(0, R − Σ nₖ).
 package cluster
 
 import (
@@ -66,6 +68,7 @@ type coordinator struct {
 	regrants    *obs.Counter
 	denials     *obs.Counter
 	replansC    *obs.Counter
+	preempted   *obs.Counter
 	outstanding *obs.Gauge
 	remaining   *obs.Gauge
 	barrierSec  *obs.Histogram
@@ -86,6 +89,8 @@ func newCoordinator(n, items int, capacity func(int) int64) *coordinator {
 			"Planned triples denied for exceeding an item's cluster-wide distinct-user quota."),
 		replansC: reg.Counter("revmaxd_cluster_replans_total",
 			"Coordinated cluster-wide replans."),
+		preempted: reg.Counter("revmaxd_cluster_barriers_preempted_total",
+			"Background barriers whose solve an explicit barrier (Flush, advance, close) canceled; they installed nothing."),
 		outstanding: reg.Gauge("revmaxd_cluster_outstanding_reservations",
 			"Stock units reserved across shards beyond the authoritative remainder (grant optimism)."),
 		remaining: reg.Gauge("revmaxd_cluster_stock_remaining",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/model"
-	"repro/internal/revenue"
 )
 
 // The partition rule is modular striping: user u lives on shard
@@ -103,24 +102,14 @@ type shardPlan struct {
 	rev float64
 }
 
-// sliceStrategy splits a global strategy by owning shard, re-keying
-// users to their local IDs. The union of slices is exactly s. Revenue
-// is user-local, so each slice's share is its global triples' revenue
-// under residual.
-func sliceStrategy(residual *model.Instance, s *model.Strategy, n int) []shardPlan {
-	plans := make([]shardPlan, n)
-	owned := make([]*model.Strategy, n)
-	for k := range plans {
-		plans[k].s = model.NewStrategy()
-		owned[k] = model.NewStrategy()
-	}
-	for _, z := range s.Triples() {
+// sliceTriples splits a global plan's canonical triples by owning
+// shard, re-keying users to their local IDs. Local IDs ascend with
+// global IDs within a shard, so every slice stays in canonical order.
+func sliceTriples(zs []model.Triple, n int) [][]model.Triple {
+	parts := make([][]model.Triple, n)
+	for _, z := range zs {
 		k := shardOf(z.U, n)
-		plans[k].s.Add(model.Triple{U: localID(z.U, n), I: z.I, T: z.T})
-		owned[k].Add(z)
+		parts[k] = append(parts[k], model.Triple{U: localID(z.U, n), I: z.I, T: z.T})
 	}
-	for k := range plans {
-		plans[k].rev = revenue.Revenue(residual, owned[k])
-	}
-	return plans
+	return parts
 }

@@ -271,7 +271,7 @@ type Strategy struct {
 	set map[Triple]struct{}
 	// sorted caches the canonical triple order; nil when absent. It is
 	// written only on mutation paths (Add/Remove clear it) and at
-	// construction (Plan.Strategy pre-populates it), never by Triples:
+	// construction (SortedStrategy pre-populates it), never by Triples:
 	// published strategies are read concurrently (serving snapshots,
 	// stats), so the read path must stay pure.
 	sorted []Triple
@@ -285,6 +285,18 @@ func StrategyOf(ts ...Triple) *Strategy {
 	s := NewStrategy()
 	for _, z := range ts {
 		s.Add(z)
+	}
+	return s
+}
+
+// SortedStrategy builds a strategy from distinct triples already in
+// canonical (user, item, time) order and caches that order, so Triples
+// on the result costs a copy, not a sort. The strategy keeps zs; the
+// caller must not modify it afterwards.
+func SortedStrategy(zs []Triple) *Strategy {
+	s := &Strategy{set: make(map[Triple]struct{}, len(zs)), sorted: zs}
+	for _, z := range zs {
+		s.set[z] = struct{}{}
 	}
 	return s
 }

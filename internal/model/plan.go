@@ -212,13 +212,7 @@ func (p *Plan) Triples() []Triple {
 // canonical order pre-cached, so a following Triples call on the
 // strategy costs a copy, not a sort. The returned strategy is
 // independent of the plan.
-func (p *Plan) Strategy() *Strategy {
-	s := &Strategy{set: make(map[Triple]struct{}, p.size), sorted: p.Triples()}
-	for _, z := range s.sorted {
-		s.set[z] = struct{}{}
-	}
-	return s
-}
+func (p *Plan) Strategy() *Strategy { return SortedStrategy(p.Triples()) }
 
 // Clone returns a deep copy of the plan (bound to the same instance).
 func (p *Plan) Clone() *Plan {

@@ -73,12 +73,13 @@ func Residual(in *model.Instance, fb Feedback) *model.Instance {
 	}
 	for u := 0; u < in.NumUsers; u++ {
 		uid := model.UserID(u)
+		adopted, exposures := fb.AdoptedClass[uid], fb.Exposures[uid]
 		for _, cand := range in.UserCandidates(uid) {
 			if cand.T < now {
 				continue
 			}
 			c := in.Class(cand.I)
-			if fb.AdoptedClass[uid][c] {
+			if adopted[c] {
 				continue
 			}
 			if fb.Stock != nil && fb.Stock[cand.I] <= 0 {
@@ -86,7 +87,7 @@ func Residual(in *model.Instance, fb Feedback) *model.Instance {
 			}
 			// Fold realized-exposure memory into the primitive q so the
 			// residual plan's saturation starts from observed history.
-			q := Discount(cand.Q, in.Beta(cand.I), SaturationMemory(fb.Exposures[uid][c], cand.T))
+			q := Discount(cand.Q, in.Beta(cand.I), SaturationMemory(exposures[c], cand.T))
 			if q > 0 {
 				res.AddCandidate(uid, cand.I, cand.T, q)
 			}

@@ -359,6 +359,44 @@ func Revenue(in *model.Instance, s *model.Strategy) float64 {
 	return total
 }
 
+// PlanRevenue computes Rev(S) (Definition 2) for a dense plan, bit for
+// bit the value Revenue returns for the plan's triples on the plan's
+// instance, without building a map strategy.
+func PlanRevenue(p *model.Plan) float64 {
+	total, _ := PlanShares(p, 1)
+	return total
+}
+
+// PlanShares is PlanRevenue with the revenue split across n stripes of
+// users, user u in stripe u mod n (the cluster's partition rule). Each
+// share is bit for bit Revenue of the plan's triples in that stripe.
+//
+// Groups are walked in group-ID order, which is the sorted (user,
+// class) order Revenue sums in, and each group's members in
+// GroupCandIDs order, which is Revenue's per-group (time, item) order,
+// so every addition happens in the same sequence as Revenue's.
+func PlanShares(p *model.Plan, n int) (total float64, shares []float64) {
+	in := p.Instance()
+	shares = make([]float64, n)
+	var buf []entry
+	for g := int32(0); g < int32(in.NumGroups()); g++ {
+		buf = buf[:0]
+		for _, id := range in.GroupCandIDs(g) {
+			if p.Contains(id) {
+				c := in.CandAt(id)
+				buf = append(buf, entry{c.Triple, c.Q})
+			}
+		}
+		if len(buf) == 0 {
+			continue
+		}
+		rev := groupRevenue(in, buf)
+		total += rev
+		shares[int(buf[0].z.U)%n] += rev
+	}
+	return total, shares
+}
+
 // DynamicProb computes q_S(u,i,t) (Definition 1) for triple z under
 // strategy s. Per the definition, it returns 0 when z ∉ S.
 func DynamicProb(in *model.Instance, s *model.Strategy, z model.Triple) float64 {

@@ -201,10 +201,14 @@ type feedbackMsg struct {
 }
 
 // stockSet is an exogenous stock override (supplier shortfall, warehouse
-// write-off, restock) applied by the feedback loop between events.
+// write-off, restock) applied by the feedback loop between events. A
+// grant (GrantStock) moves the stock by n − from instead, keeping any
+// drawdown applied since the caller read from.
 type stockSet struct {
-	item model.ItemID
-	n    int64
+	item  model.ItemID
+	n     int64
+	grant bool
+	from  int64
 }
 
 // sessEvent is one journaled feedback delta for the incremental
@@ -359,7 +363,9 @@ func newUnstartedEngine(in *model.Instance, cfg Config, follower bool) (*Engine,
 // planner.Named's error-swallowing contract — a solve failure degrades
 // to an empty plan rather than killing the replan loop — while feeding
 // the meter's solve telemetry and attaching a "solve" child to span
-// (nil span: no tracing, zero cost).
+// (nil span: no tracing, zero cost). The revenue comes from the
+// solver's dense plan when it has one over residual, and from the
+// map-based Revenue otherwise; the two agree bit for bit.
 func (e *Engine) solve(residual *model.Instance, span *obs.Span) (*model.Strategy, float64) {
 	o := e.opts
 	if e.sess != nil {
@@ -373,11 +379,13 @@ func (e *Engine) solve(residual *model.Instance, span *obs.Span) (*model.Strateg
 	start := time.Now()
 	res, err := solver.Solve(context.Background(), residual, o)
 	e.met.observeSolve(res, err, time.Since(start))
-	s := res.Strategy
-	if err != nil || s == nil {
-		s = model.NewStrategy()
+	if err != nil || res.Strategy == nil {
+		return model.NewStrategy(), 0
 	}
-	return s, revenue.Revenue(residual, s)
+	if p := res.Plan; p != nil && p.Instance() == residual {
+		return res.Strategy, revenue.PlanRevenue(p)
+	}
+	return res.Strategy, revenue.Revenue(residual, res.Strategy)
 }
 
 // newEngineShell allocates an engine with store state and its resolved
@@ -788,18 +796,33 @@ func (e *Engine) Stock(i model.ItemID) (int, error) {
 // queued events and forces a replan, since the residual problem
 // changed; call Flush to wait for both. Negative n clamps to zero.
 func (e *Engine) SetStock(i model.ItemID, n int) error {
-	if int(i) < 0 || int(i) >= e.in.NumItems() {
-		return fmt.Errorf("serve: unknown item %d", i)
-	}
 	if n < 0 {
 		n = 0
+	}
+	return e.queueStock(&stockSet{item: i, n: int64(n)})
+}
+
+// GrantStock moves item i's stock from a value the caller read, from,
+// to n, keeping any drawdown the loop applied in between: the loop sets
+// the stock to its current value plus n − from, floored at zero, and
+// logs the result like a SetStock. A cluster coordinator re-grants a
+// shard's reservation with it, so adoptions that race the grant are not
+// erased.
+func (e *Engine) GrantStock(i model.ItemID, from, n int) error {
+	return e.queueStock(&stockSet{item: i, n: int64(n), grant: true, from: int64(from)})
+}
+
+// queueStock hands a stock override or grant to the feedback loop.
+func (e *Engine) queueStock(op *stockSet) error {
+	if int(op.item) < 0 || int(op.item) >= e.in.NumItems() {
+		return fmt.Errorf("serve: unknown item %d", op.item)
 	}
 	e.closeMu.RLock()
 	defer e.closeMu.RUnlock()
 	if e.closed.Load() {
 		return ErrClosed
 	}
-	e.feedback <- feedbackMsg{stock: &stockSet{item: i, n: int64(n)}}
+	e.feedback <- feedbackMsg{stock: op}
 	return nil
 }
 
@@ -1144,10 +1167,14 @@ func (e *Engine) loop() {
 				}
 				arm(false)
 			case msg.stock != nil:
-				e.walAppend(store.Record{Type: store.RecSetStock, Item: int32(msg.stock.item), Stock: msg.stock.n})
-				e.stock[msg.stock.item].Store(msg.stock.n)
+				n := msg.stock.n
+				if msg.stock.grant {
+					n = max(e.stock[msg.stock.item].Load()+msg.stock.n-msg.stock.from, 0)
+				}
+				e.walAppend(store.Record{Type: store.RecSetStock, Item: int32(msg.stock.item), Stock: n})
+				e.stock[msg.stock.item].Store(n)
 				if e.incr {
-					e.sessDelta = append(e.sessDelta, sessEvent{kind: sessStock, item: msg.stock.item, n: int(msg.stock.n)})
+					e.sessDelta = append(e.sessDelta, sessEvent{kind: sessStock, item: msg.stock.item, n: int(n)})
 				}
 				arm(false)
 			case msg.price != nil:

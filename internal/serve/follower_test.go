@@ -87,3 +87,44 @@ func TestFollowerNeverPlans(t *testing.T) {
 		t.Fatalf("Install on a closed follower: %v, want ErrClosed", err)
 	}
 }
+
+// TestGrantStockKeepsRacingDrawdown: a grant moves stock relative to
+// the value its caller read, so an adoption applied between that read
+// and the grant still counts — and the logged result survives a
+// kill -9.
+func TestGrantStockKeepsRacingDrawdown(t *testing.T) {
+	in := testInstance(t, 40, 6, 3, 2, 19)
+	cfg := Config{Durability: &Durability{Dir: t.TempDir()}}
+	f, err := OpenFollower(in.Clone(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := in.UserCandidates(0)[0]
+	read, err := f.Stock(c.I)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Feed(Event{User: 0, Item: c.I, T: c.T, Adopted: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.GrantStock(c.I, read, read+3); err != nil {
+		t.Fatal(err)
+	}
+	f.Flush()
+	want := read + 3 - 1
+	if got, _ := f.Stock(c.I); got != want {
+		t.Fatalf("stock after grant = %d, want %d (grant %d→%d keeps the adoption)", got, want, read, read+3)
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	f.Kill()
+	r, err := OpenFollower(nil, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, _ := r.Stock(c.I); got != want {
+		t.Fatalf("recovered stock = %d, want %d", got, want)
+	}
+}

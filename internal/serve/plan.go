@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -45,10 +47,12 @@ type plan struct {
 // path re-applies the observed saturation memory per request; storing
 // residual q's would double-count it.
 //
-// When the strategy has a flat representation on in (every triple a
-// candidate — true for all solver outputs), entries are emitted straight
-// from the instance's time-ordered candidate index: no per-user sorting
-// and one array read per entry instead of a binary-searched Q lookup.
+// The strategy's canonical (user, item, time) order groups each user's
+// triples into one run. A run is put in (time, item) order and merged
+// against the user's time-ordered candidate index, so each entry costs
+// an array read instead of a binary-searched Q lookup. A triple that is
+// not a candidate (TopRA's q=0 repeats) is served with q = 0, the value
+// Instance.Q reports for it.
 func buildPlan(in *model.Instance, s *model.Strategy, revision int64, from model.TimeStep, revenue float64) *plan {
 	p := &plan{
 		revision:    revision,
@@ -58,57 +62,52 @@ func buildPlan(in *model.Instance, s *model.Strategy, revision int64, from model
 		plannedFrom: from,
 		installedAt: time.Now(),
 	}
-	if fp, ok := in.PlanOf(s); ok {
-		prev := model.UserID(-1)
-		fp.Each(func(id model.CandID) bool {
-			c := in.CandAt(id)
-			if c.U != prev {
-				// First entry of this user: walk the user's candidates in
-				// (time, item) order and emit the chosen ones, so the
-				// per-user slice comes out pre-sorted.
-				prev = c.U
-				for _, tid := range in.UserCandIDsByTime(c.U) {
-					if !fp.Contains(tid) {
-						continue
-					}
-					tc := in.CandAt(tid)
-					p.perUser[tc.U] = append(p.perUser[tc.U], planEntry{
-						t:     tc.T,
-						item:  tc.I,
-						class: in.Class(tc.I),
-						beta:  in.Beta(tc.I),
-						q:     tc.Q,
-						price: in.Price(tc.I, tc.T),
-					})
-				}
-			}
-			return true
-		})
-		return p
-	}
-	for _, z := range s.Triples() {
-		if int(z.U) < 0 || int(z.U) >= in.NumUsers {
+	zs := s.Triples() // a fresh copy, free to reorder
+	for lo := 0; lo < len(zs); {
+		u := zs[lo].U
+		hi := lo + 1
+		for hi < len(zs) && zs[hi].U == u {
+			hi++
+		}
+		run := zs[lo:hi]
+		lo = hi
+		if int(u) < 0 || int(u) >= in.NumUsers {
 			continue
 		}
-		p.perUser[z.U] = append(p.perUser[z.U], planEntry{
-			t:     z.T,
-			item:  z.I,
-			class: in.Class(z.I),
-			beta:  in.Beta(z.I),
-			q:     in.Q(z.U, z.I, z.T),
-			price: in.Price(z.I, z.T),
-		})
-	}
-	for u := range p.perUser {
-		es := p.perUser[u]
-		sort.Slice(es, func(a, b int) bool {
-			if es[a].t != es[b].t {
-				return es[a].t < es[b].t
+		slices.SortFunc(run, byTime)
+		ids := in.UserCandIDsByTime(u)
+		es := make([]planEntry, len(run))
+		j := 0
+		for k, z := range run {
+			for j < len(ids) && byTime(in.CandAt(ids[j]).Triple, z) < 0 {
+				j++
 			}
-			return es[a].item < es[b].item
-		})
+			q := 0.0
+			if j < len(ids) {
+				if c := in.CandAt(ids[j]); c.Triple == z {
+					q = c.Q
+				}
+			}
+			es[k] = planEntry{
+				t:     z.T,
+				item:  z.I,
+				class: in.Class(z.I),
+				beta:  in.Beta(z.I),
+				q:     q,
+				price: in.Price(z.I, z.T),
+			}
+		}
+		p.perUser[u] = es
 	}
 	return p
+}
+
+// byTime orders one user's triples by (time, item).
+func byTime(a, b model.Triple) int {
+	if c := cmp.Compare(a.T, b.T); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.I, b.I)
 }
 
 // entriesAt returns the planned entries for (u, t): a sub-slice of the
